@@ -1,19 +1,16 @@
 //! Substrate-overhead snapshot: measures the executor, latency, and
 //! fan-out costs of the message-passing substrate and writes
 //! `BENCH_substrate.json` at the workspace root, so the perf trajectory
-//! of the communication hot path is tracked in-repo. The same dispatch,
-//! ping-pong, and broadcast shapes are re-measured on the real
-//! shared-memory backend and emitted as `wall_us` columns in a
-//! `real_backend` section.
+//! of the communication hot path is tracked in-repo.
 //!
 //! Run with `cargo run --release -p archetype-bench --bin substrate_overhead`.
 
 use std::time::Instant;
 
-use archetype_mp::transport::{real_channel, spsc_channel};
+use archetype_mp::transport::spsc_channel;
 use archetype_mp::{
-    run_spmd, run_spmd_ft, run_spmd_real, run_spmd_unpooled, run_spmd_with, Ctx, FaultPlan,
-    MachineModel, RunConfig,
+    run_spmd, run_spmd_ft, run_spmd_unpooled, run_spmd_with, Ctx, FaultPlan, MachineModel,
+    RunConfig,
 };
 
 /// Median-of-`reps` wall time of one `f()` call, in microseconds.
@@ -200,7 +197,7 @@ fn main() {
     // * `trace_off`: the dormant per-operation `trace_hot` branch cannot
     //   be isolated in-binary (there is no hook-free build), so this
     //   column is an **A/A null pair** — `run_spmd` vs
-    //   `run_spmd_with(RunConfig::virtual_time())`, two entry points
+    //   `run_spmd_with(RunConfig::default())`, two entry points
     //   that execute the identical untraced path. It bounds measurement
     //   noise plus any cost the tracing plumbing added to the default
     //   configuration; a real off-path regression additionally shows in
@@ -217,7 +214,7 @@ fn main() {
     // interleaved epochs so a transient load spike cannot dominate.
     const NULL_PAIRS: usize = 2 * PAIRS + 1;
     const NULL_EPOCHS: usize = 3;
-    let off_config = RunConfig::virtual_time();
+    let off_config = RunConfig::default();
     let mut null_ratios = Vec::with_capacity(2 * NULL_EPOCHS * NULL_PAIRS);
     for _ in 0..NULL_EPOCHS {
         paired_samples(
@@ -292,64 +289,10 @@ fn main() {
         });
     });
 
-    // The same three shapes on the real shared-memory backend (lock-free
-    // MPSC channels instead of the mutex-based virtual-backend queues),
-    // reported as measured wall_us columns next to the modeled ones.
-    for _ in 0..5 {
-        run_spmd_real(NPROCS, model, |ctx| ctx.rank());
-    }
-    let real_dispatch_us = time_us(9, || {
-        for _ in 0..CALLS {
-            run_spmd_real(NPROCS, model, |ctx| ctx.rank());
-        }
-    }) / CALLS as f64;
-    let real_pp8 = time_us(9, || {
-        run_spmd_real(2, model, |ctx| ping_pong_body(ctx, 8, 100));
-    }) / 100.0;
-    let real_bcast_us = time_us(9, || {
-        run_spmd_real(NPROCS, model, |ctx| {
-            let v = (ctx.rank() == 0).then(|| vec![0u8; 1 << 20]);
-            ctx.broadcast(0, v).len()
-        });
-    });
-
-    // Raw channel throughput at one-million-message volume, for both
-    // queue flavors the real backend uses: the MPSC queue (many
-    // producers racing the Vyukov publish protocol) and the SPSC fast
-    // path that mesh links and pool worker channels ride (single
+    // Raw channel throughput at one-million-message volume on the SPSC
+    // queue that every mesh link and pool worker channel rides (single
     // producer, node freelist in steady state). msgs/sec, median of 3.
     const TOTAL_MSGS: usize = 1_000_000;
-    const PRODUCERS: usize = 4;
-    let mpsc_msgs_per_sec = {
-        let mut samples: Vec<f64> = (0..3)
-            .map(|_| {
-                let (tx, rx) = real_channel::<u64>();
-                let t0 = Instant::now();
-                let handles: Vec<_> = (0..PRODUCERS)
-                    .map(|p| {
-                        let tx = tx.clone();
-                        std::thread::spawn(move || {
-                            for i in 0..TOTAL_MSGS / PRODUCERS {
-                                tx.send((p * TOTAL_MSGS + i) as u64).unwrap();
-                            }
-                        })
-                    })
-                    .collect();
-                drop(tx);
-                let mut received = 0usize;
-                while rx.recv().is_ok() {
-                    received += 1;
-                }
-                let elapsed = t0.elapsed().as_secs_f64();
-                assert_eq!(received, TOTAL_MSGS);
-                for h in handles {
-                    h.join().unwrap();
-                }
-                TOTAL_MSGS as f64 / elapsed
-            })
-            .collect();
-        median(&mut samples)
-    };
     let spsc_msgs_per_sec = {
         let mut samples: Vec<f64> = (0..3)
             .map(|_| {
@@ -398,14 +341,8 @@ fn main() {
     "broadcast_1mb_16_us_per_call": {bcast_us:.1},
     "all_gather_64kb_16_us_per_call": {gather_us:.1}
   }},
-  "real_backend": {{
-    "repeated_run_spmd_real_wall_us_per_call": {real_dispatch_us:.2},
-    "ping_pong_8b_wall_us_per_roundtrip": {real_pp8:.3},
-    "broadcast_1mb_16_wall_us_per_call": {real_bcast_us:.1}
-  }},
   "throughput": {{
     "volume_msgs": {TOTAL_MSGS},
-    "mpsc_4_producer_msgs_per_sec": {mpsc_msgs_per_sec:.0},
     "spsc_msgs_per_sec": {spsc_msgs_per_sec:.0}
   }}
 }}
@@ -447,21 +384,12 @@ fn main() {
         assert!(!strict, "{msg}");
         eprintln!("WARNING: {msg}");
     }
-    // Throughput floors: set well below healthy numbers (observed
-    // ~12M/s MPSC and ~2.5M/s SPSC even on a single-core runner, where
-    // every queue handoff pays a context switch) so they only trip on a
-    // real regression — e.g. the SPSC fast path silently falling back
-    // to a lock on every send — not on runner jitter.
-    const MPSC_FLOOR: f64 = 2.0e6;
+    // Throughput floor: set well below healthy numbers (observed
+    // ~2.5M/s even on a single-core runner, where every queue handoff
+    // pays a context switch) so it only trips on a real regression —
+    // e.g. the SPSC fast path silently falling back to a lock on every
+    // send — not on runner jitter.
     const SPSC_FLOOR: f64 = 0.5e6;
-    if mpsc_msgs_per_sec < MPSC_FLOOR {
-        let msg = format!(
-            "MPSC throughput fell below {MPSC_FLOOR:.0} msgs/sec \
-             (got {mpsc_msgs_per_sec:.0})"
-        );
-        assert!(!strict, "{msg}");
-        eprintln!("WARNING: {msg}");
-    }
     if spsc_msgs_per_sec < SPSC_FLOOR {
         let msg = format!(
             "SPSC throughput fell below {SPSC_FLOOR:.0} msgs/sec \

@@ -1,9 +1,11 @@
-//! # archetype-bench — figure-reproduction harness
+//! # archetype-bench — figure-reproduction harness and bench snapshots
 //!
-//! One binary per figure of the paper's evaluation (see DESIGN.md §4 and
-//! EXPERIMENTS.md at the workspace root):
+//! One binary per figure of the paper's evaluation, plus ablations, a
+//! performance-model check, and the snapshot binaries that write the
+//! `BENCH_*.json` files at the workspace root (see the README's
+//! "Benchmarks" section):
 //!
-//! | Binary | Paper figure |
+//! | Binary | What it measures |
 //! |---|---|
 //! | `fig06_mergesort` | Fig. 6 — traditional vs one-deep mergesort speedup |
 //! | `fig12_fft2d` | Fig. 12 — parallel 2-D FFT speedup |
@@ -16,11 +18,20 @@
 //! | `ablation_reduction` | recursive doubling vs gather+broadcast |
 //! | `ablation_exchange` | ghost exchange vs full-grid broadcast |
 //! | `ablation_distribution` | block vs strip distribution for Poisson |
+//! | `perfmodel_validation` | closed-form performance models vs the virtual-time simulator (§1.1) |
+//! | `substrate_overhead` | dispatch, latency, fan-out, fault-hook and tracing overheads, SPSC throughput → `BENCH_substrate.json` |
+//! | `dc_scaling` | recursive mergesort, quicksort and closest pair on nested groups → `BENCH_dc.json` |
+//! | `farm_scaling` | Mandelbrot tiles, parameter sweep and knapsack on the task farm → `BENCH_farm.json` |
+//! | `pipeline_scaling` | image-filter chain and top-k aggregator → `BENCH_pipeline.json` |
+//! | `compose_scaling` | the forecast composite across p, models and `Par` schedules → `BENCH_compose.json` |
+//! | `serve_scaling` | plan-service throughput and latency for a 1200-plan batch → `BENCH_serve.json` |
 //!
 //! All speedups are measured in **virtual time** on the machine models of
 //! `archetype-mp` (Intel-Delta-like, IBM-SP-like), which is what makes
 //! sweeps to 100 simulated processors deterministic on a small host; the
-//! computations themselves are real (data is genuinely sorted/transformed).
+//! computations themselves are real (data is genuinely sorted/transformed),
+//! and the `*_scaling` snapshots record each run's measured `wall_us` next
+//! to its modeled time.
 //!
 //! This module holds the shared harness: row/table types, console
 //! rendering, CSV output under `target/figures/`, and workload generators.

@@ -37,9 +37,8 @@
 //! Determinism: virtual clocks are driven solely by the machine model,
 //! so given the same submission sequence (and fault seed, under
 //! [`PlanService::serve_ft`]) the results, per-tenant stats, and latency
-//! percentiles are bit-identical across runs on the virtual backend. On
-//! the real backend results and stats match; only measured wall time
-//! differs.
+//! percentiles are bit-identical across runs; only the measured wall
+//! time differs.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -47,7 +46,7 @@ use std::sync::Arc;
 
 use archetype_core::PatternExpr;
 use archetype_mp::{
-    run_spmd_ft_with, run_spmd_with, Ctx, FaultPlan, MachineModel, Payload, RunConfig, SpmdError,
+    run_spmd_ft, run_spmd_with, Ctx, FaultPlan, MachineModel, Payload, RunConfig, SpmdError,
     SpmdResult,
 };
 use archetype_pipeline::apps::Digest;
@@ -617,15 +616,14 @@ impl PlanService {
         result
     }
 
-    /// Serve the queued batch on the virtual-time backend and fold
-    /// rejection accounting into the report.
+    /// Serve the queued batch and fold rejection accounting into the
+    /// report.
     pub fn serve(&mut self, model: MachineModel) -> ServeOutcome {
-        self.serve_with(model, RunConfig::virtual_time())
+        self.serve_with(model, RunConfig::default())
     }
 
     /// [`PlanService::serve`] with an explicit [`RunConfig`] — e.g.
-    /// [`RunConfig::real`] to execute the same schedule on the real
-    /// shared-memory backend (identical report, measured `wall_us`).
+    /// unpooled dispatch, or tracing (identical report either way).
     pub fn serve_with(&mut self, model: MachineModel, run: RunConfig) -> ServeOutcome {
         let rejected = std::mem::take(&mut self.rejected);
         let result = self.serve_spmd(model, run);
@@ -639,8 +637,7 @@ impl PlanService {
         }
     }
 
-    /// Serve the queued batch under a deterministic [`FaultPlan`]
-    /// (virtual backend only, per `run_spmd_ft`'s contract). Injected
+    /// Serve the queued batch under a deterministic [`FaultPlan`]. Injected
     /// atom exhaustion surfaces *inside* the report as per-submission
     /// [`PlanError`]s; an injected rank crash fails the whole batch with
     /// [`SpmdError::Ranks`] (the drained submissions are dropped).
@@ -654,7 +651,7 @@ impl PlanService {
         self.record_schedule_metrics(&waves);
         let subs = Arc::new(std::mem::take(&mut self.queue));
         let body = serve_body(Arc::clone(&subs), Arc::new(waves), self.config);
-        let ft = run_spmd_ft_with(self.nprocs, model, fault, RunConfig::virtual_time(), body)?;
+        let ft = run_spmd_ft(self.nprocs, model, fault, body);
         let failures: Vec<_> = ft
             .results
             .iter()
@@ -675,7 +672,7 @@ impl PlanService {
         Ok(ServeOutcome {
             report,
             elapsed_virtual: ft.elapsed_virtual,
-            wall_us: 0,
+            wall_us: ft.wall_us,
             cache: self.cache.stats,
         })
     }
@@ -1032,6 +1029,28 @@ mod tests {
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.completed, 0);
         assert_eq!(out.report.latency.count, 0, "failed plans leave no latency");
+    }
+
+    #[test]
+    fn inert_fault_plans_serve_like_serve_with_and_measure_wall_time() {
+        let batch = || {
+            let mut svc = PlanService::new(4, ServeConfig::default());
+            for i in 0..6u32 {
+                svc.submit(i % 2, fold_plan(f64::from(i) + 1.0), Value::Unit)
+                    .unwrap();
+            }
+            svc
+        };
+        let plain = batch().serve_with(MachineModel::ibm_sp(), RunConfig::default());
+        let ft = batch()
+            .serve_ft(MachineModel::ibm_sp(), FaultPlan::new(5))
+            .expect("an inert plan crashes nothing");
+        assert_eq!(ft.report, plain.report);
+        assert_eq!(ft.elapsed_virtual, plain.elapsed_virtual);
+        assert!(
+            ft.wall_us > 0,
+            "serve_ft must report the measured wall time"
+        );
     }
 
     #[test]

@@ -27,12 +27,11 @@ pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 63;
 pub struct Ctx {
     rank: usize,
     nprocs: usize,
-    /// `senders[dest]` is the channel on which *this* rank sends to
-    /// `dest` — backend-selected (virtual-time oracle or real lock-free
-    /// links; see [`crate::transport::Backend`]). The `Ctx` itself never
-    /// branches on the backend: clock accounting, matching, scoping, and
-    /// statistics are byte-for-byte the same code on both, which is why
-    /// results are bit-identical across backends.
+    /// `senders[dest]` is the lock-free link on which *this* rank sends
+    /// to `dest` (see [`crate::transport`]). Clocks advance from message
+    /// arrival stamps and the machine model, never from when a link
+    /// actually delivers, which is why results are bit-identical across
+    /// repeated runs.
     senders: Vec<PacketSender>,
     mailbox: Mailbox,
     /// This rank's payload-box freelist: `send` allocates from it,
@@ -400,8 +399,7 @@ impl Ctx {
     /// Complete a batch of quiet sends: one publication fence for the
     /// whole fan-out, then one parked-flag check per destination. A
     /// fan-out of k messages thus pays 1 fence + k flag reads instead of
-    /// k fences + k flag reads — and on the virtual backend this is a
-    /// no-op (its channel wakes on send).
+    /// k fences + k flag reads.
     pub(crate) fn finish_fanout(&mut self, dests: impl Iterator<Item = usize>) {
         publish_fence();
         for to in dests {

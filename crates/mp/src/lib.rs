@@ -26,17 +26,16 @@
 //! threads exchanging messages through channels, so the same code can be
 //! benchmarked for real with Criterion (see `archetype-bench`).
 //!
-//! ## Backends: modeled vs measured
+//! ## One transport: modeled and measured
 //!
-//! The transport underneath [`Ctx`] is pluggable ([`transport`]): the
-//! deterministic virtual-time backend above is the default, and
-//! [`run_spmd_with`] / [`run_spmd_real`] run the *same unmodified body*
-//! on a real shared-memory backend — in-repo lock-free MPSC channels,
-//! actual payload movement, real thread parallelism — reporting measured
-//! wall-clock time in [`runner::SpmdResult::wall_us`]. Results, per-rank
-//! clocks, and statistics are bit-identical across backends (enforced by
-//! `tests/backend_equivalence.rs`); only the headline number differs:
-//! `elapsed_virtual` is modeled, `wall_us` is measured.
+//! Every run, fault-injected runs included, moves its messages over one
+//! transport ([`transport`]): in-repo lock-free SPSC links, one per
+//! (sender, receiver) pair, with actual payload movement and real thread
+//! parallelism. Each run reports two numbers: the modeled
+//! `elapsed_virtual` and the measured wall-clock time in
+//! [`runner::SpmdResult::wall_us`]. Results, per-rank clocks, and
+//! statistics are bit-identical across repeated runs (enforced by
+//! `tests/equivalence.rs`); only `wall_us` varies.
 //!
 //! ## Substrate hot path
 //!
@@ -90,12 +89,10 @@ pub use group::Group;
 pub use model::{MachineModel, MemoryModel};
 pub use payload::{FixedSize, Payload, Shared};
 pub use runner::{
-    run_spmd, run_spmd_ft, run_spmd_ft_with, run_spmd_quiet, run_spmd_real, run_spmd_unpooled,
-    run_spmd_with, try_run_spmd, try_run_spmd_with, FtSpmdResult, RankFailure, RunConfig,
-    SpmdError, SpmdResult,
+    run_spmd, run_spmd_ft, run_spmd_quiet, run_spmd_unpooled, run_spmd_with, try_run_spmd,
+    try_run_spmd_with, FtSpmdResult, RankFailure, RunConfig, SpmdError, SpmdResult,
 };
 pub use stats::{RankStats, RunStats};
 pub use tags::{compose_tag, farm_tag, ft_tag, pipe_tag, ComposeTag, FarmTag, FtTag, PipeTag};
 pub use trace::{CriticalPathReport, Label, RankTrace, RunTrace, TraceEvent, TraceRecorder};
 pub use topology::{ProcessGrid2, ProcessGrid3};
-pub use transport::Backend;

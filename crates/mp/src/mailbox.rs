@@ -12,22 +12,18 @@
 //! [`crate::Ctx::scoped`] sections: sibling scopes may reuse identical
 //! tags without their traffic ever cross-matching.
 //!
-//! The channels underneath are backend-selected (see
-//! [`crate::transport::Backend`]): the deterministic virtual-time oracle
-//! and the real lock-free backend drive the *same* matching code, so the
-//! ordering contract below holds identically on both.
+//! The channels underneath are the lock-free SPSC links of
+//! [`crate::transport`].
 //!
 //! ## Ordering contract
 //!
 //! Every receive in this substrate is **sender-addressed**: there is no
 //! receive-from-any primitive, so the only order a program can observe is
-//! per-(sender, scope, tag) FIFO — which both backends guarantee.
-//! **Cross-sender arrival order is unspecified.** Under the virtual
-//! backend, host arrival order happens to be serialized by thread
-//! scheduling but is never observable through matching; under the real
-//! backend, messages from different senders genuinely race. Code must
-//! never infer anything from the host-level interleaving of different
-//! senders' traffic — the leak check ([`Mailbox::unconsumed`]) and the
+//! per-(sender, scope, tag) FIFO — which every link guarantees.
+//! **Cross-sender arrival order is unspecified.** Messages from
+//! different senders genuinely race on their separate links, and code
+//! must never infer anything from the host-level interleaving of
+//! different senders' traffic — the leak check ([`Mailbox::unconsumed`]) and the
 //! fault-tolerant death signal ([`SenderDisconnected`]) are only
 //! meaningful at quiescence or after a sender provably terminated.
 
@@ -36,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::packet::Packet;
-use crate::transport::{packet_channel_with, Backend, PacketReceiver, PacketSender};
+use crate::transport::{packet_channel_with, PacketReceiver, PacketSender};
 
 /// Error returned by [`Mailbox::try_recv_matching`] when the sending
 /// rank has terminated (channel empty and disconnected).
@@ -129,10 +125,10 @@ impl Mailbox {
     }
 }
 
-/// Builds the full `n × n` mesh of channels on the given backend and
+/// Builds the full `n × n` mesh of channels and
 /// splits it into the send sides (shared by all ranks) and the per-rank
 /// receive sides.
-pub fn build_network(n: usize, backend: Backend) -> (Vec<Vec<PacketSender>>, Vec<Mailbox>) {
+pub fn build_network(n: usize) -> (Vec<Vec<PacketSender>>, Vec<Mailbox>) {
     // senders[dest][src] : channel on which `src` sends to `dest`.
     let mut senders: Vec<Vec<PacketSender>> = Vec::with_capacity(n);
     let mut mailboxes: Vec<Mailbox> = Vec::with_capacity(n);
@@ -143,7 +139,7 @@ pub fn build_network(n: usize, backend: Backend) -> (Vec<Vec<PacketSender>>, Vec
         // so the mailbox's leak check is a single load (`unconsumed`).
         let inflight = Arc::new(AtomicUsize::new(0));
         for _src in 0..n {
-            let (tx, rx) = packet_channel_with(backend, Arc::clone(&inflight));
+            let (tx, rx) = packet_channel_with(Arc::clone(&inflight));
             row_tx.push(tx);
             row_rx.push(rx);
         }
@@ -163,11 +159,10 @@ mod tests {
     use super::*;
     use crate::packet::PacketBody;
 
-    /// Virtual-backend network (the original test fixture); the real
-    /// backend's mirror tests live in [`real`] below and the heavy
-    /// threaded fuzzing in `tests/prop_mailbox.rs`.
+    /// Test network; the heavy threaded fuzzing lives in
+    /// `tests/prop_mailbox.rs`.
     fn net(n: usize) -> (Vec<Vec<PacketSender>>, Vec<Mailbox>) {
-        build_network(n, Backend::Virtual)
+        build_network(n)
     }
 
     fn pkt(from: usize, tag: u64, val: i32) -> Packet {
@@ -303,58 +298,5 @@ mod tests {
         assert_eq!(val(mb[0].recv_matching(1, 6, 9)), 10);
         assert_eq!(val(mb[0].recv_matching(1, 6, 9)), 20);
         assert_eq!(mb[0].unconsumed(), 0);
-    }
-
-    /// The same matching contract on the real (lock-free) backend. These
-    /// mirror the virtual-backend tests above; the threaded interleaving
-    /// fuzz lives in `tests/prop_mailbox.rs`.
-    mod real {
-        use super::*;
-
-        fn net(n: usize) -> (Vec<Vec<PacketSender>>, Vec<Mailbox>) {
-            build_network(n, Backend::Real)
-        }
-
-        #[test]
-        fn fifo_and_tag_matching() {
-            let (tx, mut mb) = net(2);
-            tx[0][1].send(pkt(1, 9, 1)).unwrap();
-            tx[0][1].send(pkt(1, 9, 2)).unwrap();
-            tx[0][1].send(pkt(1, 8, 99)).unwrap();
-            assert_eq!(val(mb[0].recv_matching(1, 0, 8)), 99);
-            assert_eq!(val(mb[0].recv_matching(1, 0, 9)), 1);
-            assert_eq!(val(mb[0].recv_matching(1, 0, 9)), 2);
-            assert_eq!(mb[0].unconsumed(), 0);
-        }
-
-        #[test]
-        fn scopes_do_not_alias() {
-            let (tx, mut mb) = net(2);
-            tx[0][1].send(pkt_scoped(1, 7, 3, 111)).unwrap();
-            tx[0][1].send(pkt_scoped(1, 0, 3, 222)).unwrap();
-            assert_eq!(val(mb[0].recv_matching(1, 0, 3)), 222);
-            assert_eq!(val(mb[0].recv_matching(1, 7, 3)), 111);
-            assert_eq!(mb[0].unconsumed(), 0);
-        }
-
-        #[test]
-        fn disconnection_surfaces_only_after_draining() {
-            let (tx, mut mb) = net(2);
-            tx[0][1].send(pkt(1, 4, 5)).unwrap();
-            drop(tx);
-            assert_eq!(val(mb[0].try_recv_matching(1, 0, 4).unwrap()), 5);
-            let err = mb[0].try_recv_matching(1, 0, 4).unwrap_err();
-            assert_eq!(err, SenderDisconnected);
-        }
-
-        #[test]
-        fn unconsumed_counts_pending_and_queued() {
-            let (tx, mut mb) = net(2);
-            tx[0][1].send(pkt(1, 9, 1)).unwrap();
-            tx[0][1].send(pkt(1, 8, 2)).unwrap();
-            tx[0][1].send(pkt(1, 9, 3)).unwrap();
-            mb[0].recv_matching(1, 0, 8);
-            assert_eq!(mb[0].unconsumed(), 2);
-        }
     }
 }

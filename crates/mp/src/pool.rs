@@ -34,8 +34,8 @@
 //!
 //! Worker channels are the transport's SPSC queues: a worker's handle is
 //! owned by exactly one dispatcher at a time (handed off through the idle
-//! or batch mutex), so sends are naturally serialized and skip the MPSC
-//! publish protocol.
+//! or batch mutex), so sends are naturally serialized, which is the
+//! queue's single-producer contract.
 //!
 //! # One broadcast wake per dispatch
 //!

@@ -18,15 +18,10 @@
 //! scheduling, so `determinism_same_program_same_clocks` holds regardless
 //! of which threads execute which rank.
 //!
-//! Orthogonally to pooling, every run selects a transport [`Backend`]
-//! via [`RunConfig`] / [`run_spmd_with`]: the deterministic virtual-time
-//! oracle (the default — all plain entry points use it) or the real
-//! lock-free shared-memory backend, which moves the same payloads over
-//! the in-repo lock-free MPSC channels and reports measured wall-clock
-//! time in [`SpmdResult::wall_us`]. Results, clocks, and statistics are
-//! bit-identical across backends (see [`crate::transport`]); networks
-//! are recycled per (size, backend), so a cached virtual mesh can never
-//! be handed to a real run or vice versa.
+//! Every path moves its messages over the same lock-free SPSC links
+//! ([`crate::transport`]) and reports both the modeled
+//! [`SpmdResult::elapsed_virtual`] and the measured
+//! [`SpmdResult::wall_us`]; fault-injected runs ([`run_spmd_ft`]) included.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,7 +36,7 @@ use crate::payload::PayloadArena;
 use crate::pool;
 use crate::stats::{RankStats, RunStats};
 use crate::trace::{RankTrace, RunTrace, TraceRecorder};
-use crate::transport::{Backend, PacketSender};
+use crate::transport::PacketSender;
 
 /// Lock a mutex, tolerating poison: a rank that panicked while holding
 /// the runner's bookkeeping locks must not wedge every later `run_spmd`
@@ -63,10 +58,8 @@ pub struct SpmdResult<R> {
     /// Communication/computation statistics per rank.
     pub stats: RunStats,
     /// Measured wall-clock time of the run (dispatch to last rank done),
-    /// in microseconds. This is the real backend's headline number; it is
-    /// populated on every backend (the virtual oracle's wall time is its
-    /// simulation cost, not a modeled quantity) and is the *only* field
-    /// that legitimately differs between backends or repeated runs.
+    /// in microseconds: the *only* field that legitimately differs
+    /// between repeated runs.
     pub wall_us: u64,
     /// Per-rank event streams of a traced run ([`RunConfig::traced`]);
     /// `None` unless tracing was requested. Export with
@@ -120,7 +113,7 @@ impl std::fmt::Display for RankFailure {
 impl std::error::Error for RankFailure {}
 
 /// Error returned by the fallible entry points ([`try_run_spmd`],
-/// [`try_run_spmd_with`], [`run_spmd_ft_with`]).
+/// [`try_run_spmd_with`]).
 #[derive(Clone, Debug)]
 pub enum SpmdError {
     /// One or more ranks failed. The channel network of a failed run is
@@ -130,42 +123,25 @@ pub enum SpmdError {
         /// The failed ranks, in rank order.
         failures: Vec<RankFailure>,
     },
-    /// The entry point rejected the requested configuration before
-    /// anything ran — e.g. fault injection on [`Backend::Real`], whose
-    /// disconnect-based death signal depends on real scheduling and is
-    /// therefore only validated on the deterministic virtual backend.
-    UnsupportedBackend {
-        /// The entry point that rejected the configuration.
-        entry: &'static str,
-        /// The rejected backend.
-        backend: Backend,
-    },
 }
 
 impl SpmdError {
-    /// The failed ranks, in rank order (empty for configuration errors).
+    /// The failed ranks, in rank order.
     pub fn failures(&self) -> &[RankFailure] {
         match self {
             SpmdError::Ranks { failures } => failures,
-            SpmdError::UnsupportedBackend { .. } => &[],
         }
     }
 }
 
 impl std::fmt::Display for SpmdError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpmdError::Ranks { failures } => {
-                write!(f, "{} rank(s) failed:", failures.len())?;
-                for failure in failures {
-                    write!(f, " [{failure}]")?;
-                }
-                Ok(())
-            }
-            SpmdError::UnsupportedBackend { entry, backend } => {
-                write!(f, "{entry} does not support Backend::{backend:?}")
-            }
+        let failures = self.failures();
+        write!(f, "{} rank(s) failed:", failures.len())?;
+        for failure in failures {
+            write!(f, " [{failure}]")?;
         }
+        Ok(())
     }
 }
 
@@ -192,6 +168,9 @@ pub struct FtSpmdResult<R> {
     /// ranks may legitimately strand in-flight messages (the network is
     /// quarantined, so they can never contaminate a later run).
     pub leaked_messages: usize,
+    /// Measured wall-clock time of the run (dispatch to last rank done),
+    /// in microseconds, as in [`SpmdResult::wall_us`].
+    pub wall_us: u64,
 }
 
 impl<R> FtSpmdResult<R> {
@@ -220,11 +199,9 @@ struct RankLinks {
     arena: PayloadArena,
 }
 
-/// Per-(size, backend) cache of quiescent networks. Only networks whose
-/// every channel and pending buffer is empty (leak check passed) are
-/// returned here, so recycling can never leak a stale packet into the
-/// next run — and keying by backend means a virtual mesh is never handed
-/// to a real run or vice versa.
+/// Per-size cache of quiescent networks. Only networks whose every
+/// channel and pending buffer is empty (leak check passed) are returned
+/// here, so recycling can never leak a stale packet into the next run.
 static NETWORK_CACHE: OnceLock<Mutex<NetworkCache>> = OnceLock::new();
 
 /// Networks kept per process count; each costs `n²` empty channels.
@@ -250,7 +227,7 @@ struct CachedNetwork {
 
 #[derive(Default)]
 struct NetworkCache {
-    by_size: HashMap<(usize, Backend), Vec<CachedNetwork>>,
+    by_size: HashMap<usize, Vec<CachedNetwork>>,
     /// Total channels (`Σ n²`) currently held in `by_size`.
     channels: usize,
     /// Monotone release counter backing the LRU stamps.
@@ -267,15 +244,15 @@ impl NetworkCache {
             .by_size
             .iter()
             .min_by_key(|(_, slot)| slot.first().map_or(u64::MAX, |e| e.stamp))
-            .map(|(&key, _)| key);
-        let Some(key @ (nprocs, _)) = victim else {
+            .map(|(&nprocs, _)| nprocs);
+        let Some(nprocs) = victim else {
             return;
         };
-        let slot = self.by_size.get_mut(&key).expect("victim key exists");
+        let slot = self.by_size.get_mut(&nprocs).expect("victim key exists");
         slot.remove(0);
         self.channels -= nprocs * nprocs;
         if slot.is_empty() {
-            self.by_size.remove(&key);
+            self.by_size.remove(&nprocs);
         }
     }
 }
@@ -287,8 +264,8 @@ fn network_cache() -> &'static Mutex<NetworkCache> {
 /// Build a fresh network, transposed so each rank *owns* its outgoing
 /// channel ends: when a rank panics its senders drop, and peers blocked
 /// on receives from it fail fast rather than deadlocking.
-fn fresh_network(nprocs: usize, backend: Backend) -> Vec<RankLinks> {
-    let (senders_by_dest, mailboxes) = build_network(nprocs, backend);
+fn fresh_network(nprocs: usize) -> Vec<RankLinks> {
+    let (senders_by_dest, mailboxes) = build_network(nprocs);
     mailboxes
         .into_iter()
         .enumerate()
@@ -302,22 +279,21 @@ fn fresh_network(nprocs: usize, backend: Backend) -> Vec<RankLinks> {
         .collect()
 }
 
-fn acquire_network(nprocs: usize, backend: Backend) -> Vec<RankLinks> {
+fn acquire_network(nprocs: usize) -> Vec<RankLinks> {
     {
         let mut cache = lock_unpoisoned(network_cache());
-        if let Some(entry) = cache.by_size.get_mut(&(nprocs, backend)).and_then(Vec::pop) {
+        if let Some(entry) = cache.by_size.get_mut(&nprocs).and_then(Vec::pop) {
             cache.channels -= nprocs * nprocs;
-            let key = (nprocs, backend);
-            if cache.by_size.get(&key).is_some_and(Vec::is_empty) {
-                cache.by_size.remove(&key);
+            if cache.by_size.get(&nprocs).is_some_and(Vec::is_empty) {
+                cache.by_size.remove(&nprocs);
             }
             return entry.links;
         }
     }
-    fresh_network(nprocs, backend)
+    fresh_network(nprocs)
 }
 
-fn release_network(nprocs: usize, backend: Backend, links: Vec<RankLinks>) {
+fn release_network(nprocs: usize, links: Vec<RankLinks>) {
     let channels = nprocs * nprocs;
     if channels > CACHE_CHANNEL_BUDGET {
         return; // can never fit, even with an empty cache
@@ -325,7 +301,7 @@ fn release_network(nprocs: usize, backend: Backend, links: Vec<RankLinks>) {
     let mut cache = lock_unpoisoned(network_cache());
     if cache
         .by_size
-        .get(&(nprocs, backend))
+        .get(&nprocs)
         .is_some_and(|slot| slot.len() >= CACHED_NETWORKS_PER_SIZE)
     {
         return; // per-size cap reached
@@ -341,7 +317,7 @@ fn release_network(nprocs: usize, backend: Backend, links: Vec<RankLinks>) {
     let stamp = cache.clock;
     cache
         .by_size
-        .entry((nprocs, backend))
+        .entry(nprocs)
         .or_default()
         .push(CachedNetwork { links, stamp });
     cache.channels += channels;
@@ -410,16 +386,15 @@ where
 {
     assert!(nprocs > 0, "need at least one process");
     let RunConfig {
-        backend,
         pooled,
         traced,
         trace_capacity,
         ..
     } = config;
     let links = if pooled {
-        acquire_network(nprocs, backend)
+        acquire_network(nprocs)
     } else {
-        fresh_network(nprocs, backend)
+        fresh_network(nprocs)
     };
 
     let slots: Vec<Mutex<Option<JobResult<R>>>> = (0..nprocs).map(|_| Mutex::new(None)).collect();
@@ -486,7 +461,7 @@ where
         });
     }
     // Measured after the dispatch barrier: every rank has returned, so
-    // this spans the whole SPMD computation on either backend.
+    // this spans the whole SPMD computation.
     let wall_us = started.elapsed().as_micros() as u64;
 
     let mut outcomes = Vec::with_capacity(nprocs);
@@ -525,22 +500,20 @@ where
     // endpoints went down with their unwinds).
     let leaked: usize = links_back.iter().map(|l| l.mailbox.unconsumed()).sum();
     if pooled && !any_failed && leaked == 0 {
-        release_network(nprocs, backend, links_back);
+        release_network(nprocs, links_back);
     }
 
     (outcomes, leaked, wall_us)
 }
 
-/// How an SPMD run executes: which transport [`Backend`] carries the
-/// messages, whether ranks dispatch onto the persistent pool, and
-/// whether the post-run leak check is enforced. The default is exactly
-/// [`run_spmd`]'s behaviour (virtual time, pooled, leak-checked), so
+/// How an SPMD run executes: whether ranks dispatch onto the persistent
+/// pool, whether the post-run leak check is enforced, and whether the run
+/// records event traces. The default is exactly [`run_spmd`]'s behaviour
+/// (pooled, leak-checked, untraced), so
 /// `run_spmd_with(n, model, RunConfig::default(), body)` ≡
 /// `run_spmd(n, model, body)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunConfig {
-    /// Transport backend (virtual-time oracle by default).
-    pub backend: Backend,
     /// Dispatch ranks onto the persistent worker pool and recycle the
     /// network (true, the default), or spawn fresh threads per call.
     pub pooled: bool,
@@ -562,44 +535,24 @@ pub struct RunConfig {
 pub const DEFAULT_TRACE_CAPACITY: usize = 16 * 1024;
 
 impl RunConfig {
-    /// The default configuration, spelled out: virtual-time backend,
-    /// pooled dispatch, leak check on, tracing off.
+    /// Alias of [`RunConfig::default`], for callers that spell the
+    /// default configuration by name.
     pub fn virtual_time() -> Self {
-        RunConfig {
-            backend: Backend::Virtual,
-            pooled: true,
-            check_leaks: true,
-            traced: false,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-        }
+        Self::default()
     }
 
-    /// Real shared-memory backend (lock-free channels, measured
-    /// wall-clock `wall_us`); pooled and leak-checked like [`run_spmd`].
+    /// Alias of [`RunConfig::default`] (see [`RunConfig::virtual_time`]).
     pub fn real() -> Self {
-        RunConfig {
-            backend: Backend::Real,
-            ..Self::virtual_time()
-        }
+        Self::default()
     }
 
-    /// [`RunConfig::virtual_time`] with event tracing on: the run
-    /// returns its per-rank event streams in [`SpmdResult::trace`].
+    /// The default configuration with event tracing on: the run returns
+    /// its per-rank event streams in [`SpmdResult::trace`].
     pub fn traced() -> Self {
-        RunConfig {
-            traced: true,
-            ..Self::virtual_time()
-        }
+        Self::default().with_tracing()
     }
 
-    /// Same configuration on the other backend — handy for equivalence
-    /// harnesses that run each case twice.
-    pub fn on(self, backend: Backend) -> Self {
-        RunConfig { backend, ..self }
-    }
-
-    /// This configuration with tracing switched on (composes with
-    /// [`RunConfig::real`] etc.).
+    /// This configuration with tracing switched on.
     pub fn with_tracing(self) -> Self {
         RunConfig {
             traced: true,
@@ -621,59 +574,12 @@ impl RunConfig {
 // to `false`; the semantic default is run_spmd's behaviour.
 impl std::default::Default for RunConfig {
     fn default() -> Self {
-        Self::virtual_time()
-    }
-}
-
-/// Shared frontend for the panicking entry points: re-raises the first
-/// rank failure as a panic whose message contains the original panic
-/// text, and applies the leak check to successful runs.
-fn run_checked<F, R>(nprocs: usize, model: MachineModel, body: F, config: RunConfig) -> SpmdResult<R>
-where
-    F: Fn(&mut Ctx) -> R + Sync,
-    R: Send,
-{
-    let (outcomes, leaked, wall_us) = run_inner_result(nprocs, model, None, body, config);
-    let mut results = Vec::with_capacity(nprocs);
-    let mut rank_times = Vec::with_capacity(nprocs);
-    let mut per_rank = Vec::with_capacity(nprocs);
-    let mut rank_traces = Vec::with_capacity(if config.traced { nprocs } else { 0 });
-    for outcome in outcomes {
-        match outcome {
-            Ok((r, now, stats, trace)) => {
-                results.push(r);
-                rank_times.push(now);
-                per_rank.push(stats);
-                if let Some(t) = trace {
-                    rank_traces.push(t);
-                }
-            }
-            // A failed rank takes precedence, matching `std::thread::scope`
-            // semantics; the message keeps the original panic text so
-            // callers matching on it still work.
-            Err(failure) => panic!("{}", failure.message),
+        RunConfig {
+            pooled: true,
+            check_leaks: true,
+            traced: false,
+            trace_capacity: DEFAULT_TRACE_CAPACITY,
         }
-    }
-    if config.check_leaks {
-        assert_eq!(
-            leaked, 0,
-            "run finished with {leaked} unreceived message(s): \
-             mismatched send/recv in the SPMD program"
-        );
-    }
-    let elapsed_virtual = rank_times.iter().copied().fold(0.0, f64::max);
-    let trace = config.traced.then(|| RunTrace {
-        ranks: rank_traces,
-        rank_times: rank_times.clone(),
-        elapsed_virtual,
-    });
-    SpmdResult {
-        results,
-        elapsed_virtual,
-        rank_times,
-        stats: RunStats { per_rank },
-        wall_us,
-        trace,
     }
 }
 
@@ -705,15 +611,12 @@ where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    run_checked(nprocs, model, body, RunConfig::virtual_time())
+    run_spmd_with(nprocs, model, RunConfig::default(), body)
 }
 
-/// [`run_spmd`] with an explicit [`RunConfig`]: the entry point that
-/// selects the transport backend. `RunConfig::default()` reproduces
-/// [`run_spmd`] exactly; [`RunConfig::real`] runs the same unmodified
-/// body on the real lock-free shared-memory backend, whose measured
-/// wall-clock time lands in [`SpmdResult::wall_us`]. Results, per-rank
-/// clocks, and statistics are bit-identical across backends.
+/// [`run_spmd`] with an explicit [`RunConfig`]. `RunConfig::default()`
+/// reproduces [`run_spmd`] exactly; the first rank failure is re-raised
+/// as a panic whose message contains the original panic text.
 ///
 /// ```
 /// use archetype_mp::{run_spmd_with, MachineModel, RunConfig};
@@ -721,10 +624,11 @@ where
 /// let body = |ctx: &mut archetype_mp::Ctx| {
 ///     ctx.all_reduce(ctx.rank() as u64 + 1, |a, b| a + b)
 /// };
-/// let modeled = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::default(), body);
-/// let measured = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::real(), body);
-/// assert_eq!(modeled.results, measured.results);
-/// assert_eq!(modeled.rank_times, measured.rank_times);
+/// let plain = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::default(), body);
+/// let traced = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::traced(), body);
+/// assert_eq!(plain.results, traced.results);
+/// assert_eq!(plain.rank_times, traced.rank_times);
+/// assert!(traced.trace.is_some());
 /// ```
 pub fn run_spmd_with<F, R>(
     nprocs: usize,
@@ -736,18 +640,13 @@ where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    run_checked(nprocs, model, body, config)
-}
-
-/// Convenience for [`run_spmd_with`]`(…, RunConfig::real(), …)`: run the
-/// body on the real shared-memory backend and read the measured time
-/// from [`SpmdResult::wall_us`].
-pub fn run_spmd_real<F, R>(nprocs: usize, model: MachineModel, body: F) -> SpmdResult<R>
-where
-    F: Fn(&mut Ctx) -> R + Sync,
-    R: Send,
-{
-    run_spmd_with(nprocs, model, RunConfig::real(), body)
+    match try_run_spmd_with(nprocs, model, config, body) {
+        Ok(out) => out,
+        // A failed rank takes precedence, matching `std::thread::scope`
+        // semantics; the message keeps the original panic text so
+        // callers matching on it still work.
+        Err(err) => panic!("{}", err.failures()[0].message),
+    }
 }
 
 /// Like [`run_spmd`] but without the message-leak check. Useful in tests
@@ -759,9 +658,9 @@ where
 {
     let config = RunConfig {
         check_leaks: false,
-        ..RunConfig::virtual_time()
+        ..RunConfig::default()
     };
-    run_checked(nprocs, model, body, config)
+    run_spmd_with(nprocs, model, config, body)
 }
 
 /// [`run_spmd`] on the seed execution path: fresh OS threads and a fresh
@@ -775,9 +674,9 @@ where
 {
     let config = RunConfig {
         pooled: false,
-        ..RunConfig::virtual_time()
+        ..RunConfig::default()
     };
-    run_checked(nprocs, model, body, config)
+    run_spmd_with(nprocs, model, config, body)
 }
 
 /// Like [`run_spmd`], but rank panics are contained and reported as a
@@ -809,11 +708,11 @@ where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    try_run_spmd_with(nprocs, model, RunConfig::virtual_time(), body)
+    try_run_spmd_with(nprocs, model, RunConfig::default(), body)
 }
 
 /// [`try_run_spmd`] with an explicit [`RunConfig`]: contained rank
-/// failures on either backend, reported as [`SpmdError::Ranks`].
+/// failures, reported as [`SpmdError::Ranks`].
 pub fn try_run_spmd_with<F, R>(
     nprocs: usize,
     model: MachineModel,
@@ -877,13 +776,12 @@ where
 /// This is the chaos-testing entry point: with an inert plan
 /// (`FaultPlan::new(seed)`) it behaves exactly like [`run_spmd`] modulo
 /// the `Result`-wrapped outcomes — the configuration whose overhead the
-/// `substrate_overhead` bench pins.
+/// `substrate_overhead` bench pins. It runs on the same lock-free links
+/// as every other run, so recovery is validated on the measured
+/// transport.
 ///
-/// Fault injection is deliberately **virtual-backend-only**: the
-/// disconnect-based death signal is the one substrate path whose timing
-/// depends on real scheduling, so recovery choreography is validated
-/// where it is deterministic. (The fault-free protocols those recoveries
-/// wrap run on either backend.)
+/// Fault-injected runs do not report traces: [`FtSpmdResult`] has no
+/// trace field, and a crashed rank's recorder dies with its unwind.
 pub fn run_spmd_ft<F, R>(
     nprocs: usize,
     model: MachineModel,
@@ -894,58 +792,13 @@ where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    run_spmd_ft_with(nprocs, model, plan, RunConfig::virtual_time(), body)
-        .expect("the virtual backend is always supported")
-}
-
-/// [`run_spmd_ft`] with an explicit [`RunConfig`] — and the guard that
-/// *enforces* the virtual-only contract: a config selecting
-/// [`Backend::Real`] is rejected with a typed
-/// [`SpmdError::UnsupportedBackend`] before anything runs, instead of
-/// silently executing a fault schedule whose death signal would depend
-/// on real scheduling.
-///
-/// ```
-/// use archetype_mp::{run_spmd_ft_with, FaultPlan, MachineModel, RunConfig, SpmdError};
-///
-/// let err = run_spmd_ft_with(
-///     2,
-///     MachineModel::zero_comm(),
-///     FaultPlan::new(0),
-///     RunConfig::real(),
-///     |ctx| ctx.rank(),
-/// )
-/// .unwrap_err();
-/// assert!(matches!(err, SpmdError::UnsupportedBackend { .. }));
-/// ```
-pub fn run_spmd_ft_with<F, R>(
-    nprocs: usize,
-    model: MachineModel,
-    plan: FaultPlan,
-    config: RunConfig,
-    body: F,
-) -> Result<FtSpmdResult<R>, SpmdError>
-where
-    F: Fn(&mut Ctx) -> R + Sync,
-    R: Send,
-{
-    if config.backend != Backend::Virtual {
-        return Err(SpmdError::UnsupportedBackend {
-            entry: "run_spmd_ft",
-            backend: config.backend,
-        });
-    }
-    // Fault-injected runs do not report traces: [`FtSpmdResult`] has no
-    // trace field, and a crashed rank's recorder dies with its unwind —
-    // a partial-trace API is not worth the asymmetry. Tracing is forced
-    // off so the recorder is never even installed.
-    let config = RunConfig {
-        traced: false,
-        backend: Backend::Virtual,
-        ..config
-    };
-    let (outcomes, leaked, _wall_us) =
-        run_inner_result(nprocs, model, Some(Arc::new(plan)), body, config);
+    let (outcomes, leaked, wall_us) = run_inner_result(
+        nprocs,
+        model,
+        Some(Arc::new(plan)),
+        body,
+        RunConfig::default(),
+    );
     let mut results = Vec::with_capacity(nprocs);
     let mut rank_times = Vec::with_capacity(nprocs);
     let mut per_rank = Vec::with_capacity(nprocs);
@@ -964,13 +817,14 @@ where
         }
     }
     let elapsed_virtual = rank_times.iter().copied().fold(0.0, f64::max);
-    Ok(FtSpmdResult {
+    FtSpmdResult {
         results,
         elapsed_virtual,
         rank_times,
         stats: RunStats { per_rank },
         leaked_messages: leaked,
-    })
+        wall_us,
+    }
 }
 
 #[cfg(test)]
@@ -1043,7 +897,7 @@ mod tests {
             .lock()
             .unwrap()
             .by_size
-            .get(&(N, Backend::Virtual))
+            .get(&N)
             .map_or(0, Vec::len);
         assert!(cached >= 1, "a clean {N}-rank network should be cached");
     }
@@ -1058,7 +912,7 @@ mod tests {
             .lock()
             .unwrap()
             .by_size
-            .get(&(N, Backend::Virtual))
+            .get(&N)
             .map_or(0, Vec::len);
         assert_eq!(cached, 0, "an over-budget network must not be cached");
     }
@@ -1092,7 +946,7 @@ mod tests {
         let recomputed: usize = cache
             .by_size
             .iter()
-            .map(|(&(n, _), slot)| n * n * slot.len())
+            .map(|(&n, slot)| n * n * slot.len())
             .sum();
         assert_eq!(cache.channels, recomputed, "channel accounting drifted");
         for slot in cache.by_size.values() {
@@ -1103,12 +957,10 @@ mod tests {
         // evicted to make room for them.
         let freshest = SIZES.end - 1;
         assert!(
-            cache.by_size.contains_key(&(freshest, Backend::Virtual)),
+            cache.by_size.contains_key(&freshest),
             "the most recently released size must still be cached"
         );
-        let evicted = SIZES
-            .filter(|&n| !cache.by_size.contains_key(&(n, Backend::Virtual)))
-            .count();
+        let evicted = SIZES.filter(|n| !cache.by_size.contains_key(n)).count();
         assert!(
             evicted > 0,
             "oversubscribing the budget must evict some stale sizes"
@@ -1116,86 +968,34 @@ mod tests {
     }
 
     #[test]
-    fn ft_runs_reject_the_real_backend_with_a_typed_error() {
-        let err = run_spmd_ft_with(
-            2,
-            MachineModel::zero_comm(),
-            FaultPlan::new(7),
-            RunConfig::real(),
-            |ctx| ctx.rank(),
-        )
-        .unwrap_err();
-        match err {
-            SpmdError::UnsupportedBackend { entry, backend } => {
-                assert_eq!(entry, "run_spmd_ft");
-                assert_eq!(backend, Backend::Real);
-                assert!(err.failures().is_empty());
-            }
-            other => panic!("expected UnsupportedBackend, got {other:?}"),
-        }
-        // The virtual path through the same entry point still works.
-        let ok = run_spmd_ft_with(
-            2,
-            MachineModel::zero_comm(),
-            FaultPlan::new(7),
-            RunConfig::virtual_time(),
-            |ctx| ctx.rank(),
-        )
-        .expect("virtual backend is supported");
-        assert!(ok.all_ok());
-    }
-
-    #[test]
-    fn backends_recycle_networks_independently() {
-        // Process count unique to this test (see
-        // repeated_runs_recycle_the_network for why that matters).
-        const N: usize = 29;
-        for _ in 0..3 {
-            run_spmd(N, MachineModel::zero_comm(), |ctx| {
-                ctx.all_reduce(1u64, |a, b| a + b)
-            });
-            run_spmd_real(N, MachineModel::zero_comm(), |ctx| {
-                ctx.all_reduce(1u64, |a, b| a + b)
-            });
-        }
-        let cache = network_cache().lock().unwrap();
-        let virt = cache
-            .by_size
-            .get(&(N, Backend::Virtual))
-            .map_or(0, Vec::len);
-        let real = cache.by_size.get(&(N, Backend::Real)).map_or(0, Vec::len);
-        assert!(virt >= 1, "virtual {N}-rank networks should be cached");
-        assert!(real >= 1, "real {N}-rank networks should be cached");
-    }
-
-    #[test]
-    fn real_backend_matches_virtual_and_measures_wall_time() {
+    fn ft_runs_report_measured_wall_time() {
         let body = |ctx: &mut Ctx| {
             let s = ctx.all_reduce(ctx.rank() as u64 + 1, |a, b| a + b);
-            let g = ctx.all_gather(ctx.rank() as u64);
             ctx.charge_flops(1000.0);
             ctx.barrier();
-            (s, g, ctx.now())
+            (s, ctx.now())
         };
-        let modeled = run_spmd(5, MachineModel::ibm_sp(), body);
-        let measured = run_spmd_real(5, MachineModel::ibm_sp(), body);
-        assert_eq!(modeled.results, measured.results);
-        // The model clock is maintained identically on the real backend,
-        // so even the virtual times coincide bit-for-bit.
-        assert_eq!(modeled.rank_times, measured.rank_times);
-        assert_eq!(modeled.elapsed_virtual, measured.elapsed_virtual);
+        let plain = run_spmd(5, MachineModel::ibm_sp(), body);
+        let ft = run_spmd_ft(5, MachineModel::ibm_sp(), FaultPlan::new(7), body);
+        assert!(ft.all_ok());
+        assert_eq!(ft.leaked_messages, 0);
+        let results: Vec<_> = ft.results.into_iter().map(Result::unwrap).collect();
+        assert_eq!(results, plain.results);
+        assert_eq!(ft.rank_times, plain.rank_times);
+        // Five ranks rendezvousing through an all-reduce and a barrier
+        // take host time; the field must carry it, not a placeholder.
+        assert!(ft.wall_us > 0, "fault-injected runs measure wall time");
     }
 
     #[test]
     fn run_config_default_is_run_spmd() {
         let cfg = RunConfig::default();
-        assert_eq!(cfg, RunConfig::virtual_time());
-        assert_eq!(cfg.backend, Backend::Virtual);
         assert!(cfg.pooled);
         assert!(cfg.check_leaks);
         assert!(!cfg.traced);
         assert_eq!(cfg.trace_capacity, DEFAULT_TRACE_CAPACITY);
-        assert_eq!(RunConfig::real().on(Backend::Virtual), cfg);
+        assert_eq!(RunConfig::virtual_time(), cfg);
+        assert_eq!(RunConfig::real(), cfg);
         assert_eq!(RunConfig::traced(), cfg.with_tracing());
     }
 
@@ -1257,8 +1057,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "unreceived message")]
-    fn leak_check_holds_on_real_backend() {
-        run_spmd_real(2, MachineModel::ibm_sp(), |ctx| {
+    fn leak_check_catches_a_lone_unreceived_send() {
+        run_spmd(2, MachineModel::ibm_sp(), |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 0, 1u8); // never received
             }

@@ -1,46 +1,34 @@
-//! Pluggable transport behind the SPMD network: the backend seam.
+//! The transport behind the SPMD network: one lock-free SPSC link per
+//! (source, destination) pair.
 //!
-//! Every `run_spmd` call selects a [`Backend`] (via
-//! [`crate::runner::RunConfig`]); the choice decides which channel
-//! implementation carries [`Packet`]s between ranks:
+//! Every mesh link of an SPMD network has a *statically single sender*
+//! (the `(src, dst)` channel is only ever pushed by rank `src`'s thread),
+//! so every link rides the in-repo **lock-free SPSC queue**
+//! ([`spsc_channel`]): a one-store publish, a consumer pop that never
+//! takes a lock while messages are available, a per-link node freelist
+//! that makes steady-state traffic allocation-free, and a condvar slow
+//! path only for parking on an empty queue. Default runs, traced runs and
+//! fault-injected runs all use these links, so the transport that is
+//! measured is the transport that is tested.
 //!
-//! * [`Backend::Virtual`] — the deterministic virtual-time oracle. Ranks
-//!   are real threads, but the channels are the vendored `crossbeam`
-//!   stand-in (a `Mutex<VecDeque>` + `Condvar` queue) and the *reported*
-//!   numbers are model-driven virtual time. This is the backend every
-//!   existing caller gets by default; nothing about it changed.
-//! * [`Backend::Real`] — real shared-memory execution for wall-clock
-//!   measurement. Every mesh link of an SPMD network has a *statically
-//!   single sender* (the `(src, dst)` channel is only ever pushed by
-//!   rank `src`'s thread), so real-backend links ride the in-repo
-//!   **lock-free SPSC queue** ([`spsc_channel`]): a one-store publish, a
-//!   consumer pop that never takes a lock while messages are available,
-//!   a per-link node freelist that makes steady-state traffic
-//!   allocation-free, and a condvar slow path only for parking on an
-//!   empty queue. The multi-producer generalization ([`real_channel`],
-//!   a Vyukov-style MPSC queue) remains for genuinely multi-producer
-//!   uses and as the throughput-bench comparison point.
-//!
-//! What is *shared* between the backends: the mailbox matching rules
-//! ((sender, scope, tag) addressing, per-sender FIFO), the collectives,
-//! scoped contexts, the leak check, network recycling, and — crucially —
-//! the machine-model clock. The real backend still maintains the virtual
-//! clock exactly as the oracle does, so every model-driven control
-//! decision (farm batch sizing, DC cutoffs, pipeline stage fusion)
-//! coincides across backends and results are bit-identical by
-//! construction; only the headline *measurement* differs (modeled
-//! `elapsed_virtual` vs measured `wall_us`).
+//! Results stay deterministic although ranks are free-running threads:
+//! the mailbox matches by (sender, scope, tag) with per-sender FIFO, and
+//! every rank keeps its machine-model clock from message arrival stamps,
+//! never from host scheduling. So every model-driven control decision
+//! (farm batch sizing, DC cutoffs, pipeline stage fusion) is the same on
+//! every run, and a run reports both a modeled `elapsed_virtual` and a
+//! measured `wall_us`.
 //!
 //! # The parked-flag (Dekker) sleep/wake protocol
 //!
-//! Both real queues park their single consumer with the same flag
-//! protocol, so a blocking receive never takes the sleep lock while
-//! messages are available and a producer never takes it unless a
-//! consumer is (or is about to be) parked:
+//! The queue parks its single consumer with a flag protocol, so a
+//! blocking receive never takes the sleep lock while messages are
+//! available and a producer never takes it unless a consumer is (or is
+//! about to be) parked:
 //!
-//! * **Consumer** (inside `RealQueue::recv` / `SpscQueue::recv`):
-//!   lock `sleep` → set `parked` → `fence(SeqCst)` → *final empty
-//!   check* → wait on the condvar (releasing `sleep`).
+//! * **Consumer** (inside `SpscQueue::recv`): lock `sleep` → set
+//!   `parked` → `fence(SeqCst)` → *final empty check* → wait on the
+//!   condvar (releasing `sleep`).
 //! * **Producer** (push): publish the message → `fence(SeqCst)` → read
 //!   `parked` → if set, acquire `sleep` and `notify_one`.
 //!
@@ -61,7 +49,7 @@
 //! the lock unconditionally keeps the teardown path trivially correct —
 //! the consumer's `senders == 0` re-check runs under the same lock, so
 //! the wakeup cannot be lost no matter where the consumer is between
-//! parking and waiting. Both wake paths use `notify_one`: the queues are
+//! parking and waiting. Both wake paths use `notify_one`: the queue is
 //! strictly single-consumer, so at most one thread ever waits on the
 //! condvar and `notify_all` was pure overhead.
 
@@ -72,27 +60,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::packet::Packet;
-
-/// Which transport (and which headline timing) a `run_spmd` call uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Deterministic virtual-time execution: the correctness oracle.
-    /// Reported times come from the [`crate::MachineModel`].
-    #[default]
-    Virtual,
-    /// Real shared-memory execution on lock-free channels, for measured
-    /// wall-clock numbers. Results are bit-identical to [`Backend::Virtual`].
-    Real,
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Virtual => "virtual",
-            Backend::Real => "real",
-        })
-    }
-}
 
 /// Error returned by a receive on an empty channel whose senders have
 /// all disconnected (the transport-level death signal).
@@ -124,7 +91,7 @@ pub(crate) fn publish_fence() {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-free MPSC queue (multi-producer links; throughput baseline).
+// Lock-free SPSC queue with node recycling (the mesh-link fast path).
 // ---------------------------------------------------------------------------
 
 struct Node<T> {
@@ -140,262 +107,6 @@ impl<T> Node<T> {
         }))
     }
 }
-
-/// Vyukov-style intrusive MPSC queue with blocking receive.
-///
-/// Producers publish with one `swap` + one `store` (wait-free); the
-/// single consumer pops without any lock while messages are available.
-/// The `sleep`/`wake` pair is used *only* to park the consumer on an
-/// empty queue — producers touch the mutex only when they observe a
-/// parked consumer (see the module-level protocol description), so the
-/// message hot path never contends on a lock (unlike the vendored
-/// crossbeam stand-in, which locks on every send and receive).
-///
-/// Nodes are heap-allocated per push: with *multiple* producers a node
-/// freelist would need a multi-popper lock-free stack (ABA-prone without
-/// tagged pointers), so recycling lives in the single-producer queue
-/// ([`SpscQueue`]) that the mesh links actually use.
-struct RealQueue<T> {
-    /// Most recently pushed node; producers swap themselves in here.
-    head: AtomicPtr<Node<T>>,
-    /// Oldest node (a consumed stub); owned by the single consumer.
-    tail: UnsafeCell<*mut Node<T>>,
-    /// Messages currently queued (exact once the queue is quiescent).
-    len: AtomicUsize,
-    /// Live `RealSender` handles; 0 means disconnected.
-    senders: AtomicUsize,
-    /// Cleared when the receiver drops, so sends can fail fast.
-    receiver_alive: AtomicBool,
-    /// Set (under `sleep`) while the consumer is parked.
-    parked: AtomicBool,
-    sleep: Mutex<()>,
-    wake: Condvar,
-}
-
-// SAFETY: the queue hands each `T` from exactly one producer to the
-// single consumer; all shared pointers are managed through atomics, and
-// `tail` is only touched by the consumer (or by `Drop`, which has
-// exclusive access).
-unsafe impl<T: Send> Send for RealQueue<T> {}
-unsafe impl<T: Send> Sync for RealQueue<T> {}
-
-impl<T> RealQueue<T> {
-    fn new() -> Self {
-        RealQueue {
-            head: AtomicPtr::new(Node::boxed(None)),
-            tail: UnsafeCell::new(ptr::null_mut()),
-            len: AtomicUsize::new(0),
-            senders: AtomicUsize::new(1),
-            receiver_alive: AtomicBool::new(true),
-            parked: AtomicBool::new(false),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// Producer side: wait-free publish, then wake a parked consumer.
-    fn push(&self, value: T) {
-        let node = Node::boxed(Some(value));
-        let prev = self.head.swap(node, Ordering::AcqRel);
-        // SAFETY: `prev` is a live node — nodes are only freed by the
-        // consumer *after* their successor link is published, and the
-        // previous head has no successor until this store.
-        unsafe { (*prev).next.store(node, Ordering::Release) };
-        self.len.fetch_add(1, Ordering::Release);
-        // Producer half of the parked-flag protocol (module docs):
-        // publish, fence, read the flag, notify under the sleep lock.
-        fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) {
-            drop(self.sleep.lock().unwrap_or_else(PoisonError::into_inner));
-            self.wake.notify_one();
-        }
-    }
-
-    /// Consumer side: pop the oldest message, or `None` when empty.
-    ///
-    /// # Safety
-    /// Must only be called by the single consumer (or with otherwise
-    /// exclusive access to `tail`).
-    unsafe fn try_pop(&self) -> Option<T> {
-        let tail = *self.tail.get();
-        let mut next = (*tail).next.load(Ordering::Acquire);
-        if next.is_null() {
-            if self.head.load(Ordering::Acquire) == tail {
-                return None; // truly empty
-            }
-            // A producer swapped `head` but hasn't linked `next` yet;
-            // the link is one store away, so spin (yielding, for
-            // single-core hosts where the producer needs the CPU).
-            let mut spins = 0u32;
-            loop {
-                next = (*tail).next.load(Ordering::Acquire);
-                if !next.is_null() {
-                    break;
-                }
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        let value = (*next).value.take().expect("pushed node carries a value");
-        *self.tail.get() = next;
-        drop(Box::from_raw(tail));
-        self.len.fetch_sub(1, Ordering::Release);
-        Some(value)
-    }
-
-    /// Consumer side: block until a message arrives or every sender is
-    /// gone.
-    ///
-    /// # Safety
-    /// Single-consumer, as for [`RealQueue::try_pop`].
-    unsafe fn recv(&self) -> Result<T, Disconnected> {
-        // Fast path: no lock while messages are available.
-        if let Some(v) = self.try_pop() {
-            return Ok(v);
-        }
-        loop {
-            // Consumer half of the parked-flag protocol (module docs):
-            // lock, set the flag, fence, final empty check, then wait.
-            let guard = self.sleep.lock().unwrap_or_else(PoisonError::into_inner);
-            self.parked.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            if let Some(v) = self.try_pop() {
-                self.parked.store(false, Ordering::Relaxed);
-                return Ok(v);
-            }
-            if self.senders.load(Ordering::SeqCst) == 0 {
-                self.parked.store(false, Ordering::Relaxed);
-                // The last sender's teardown happens-before the counter
-                // hitting zero, so one final drain decides conclusively.
-                return self.try_pop().ok_or(Disconnected);
-            }
-            // The timeout is belt-and-braces only — the flag protocol
-            // above already rules out lost wakeups.
-            let (g, _) = self
-                .wake
-                .wait_timeout(guard, Duration::from_millis(5))
-                .unwrap_or_else(PoisonError::into_inner);
-            drop(g);
-            self.parked.store(false, Ordering::Relaxed);
-        }
-    }
-
-    /// Initialize `tail` from `head` once, before the first pop. Called
-    /// by the factory functions (the stub is created before any handle
-    /// exists, so a plain load is exact).
-    fn init_tail(&self) {
-        let stub = self.head.load(Ordering::Relaxed);
-        unsafe { *self.tail.get() = stub };
-    }
-}
-
-impl<T> Drop for RealQueue<T> {
-    fn drop(&mut self) {
-        // Exclusive access: free every remaining node, including the stub.
-        let mut p = *self.tail.get_mut();
-        while !p.is_null() {
-            // SAFETY: nodes between tail and head are live and owned by
-            // the queue once no handles remain.
-            let node = unsafe { Box::from_raw(p) };
-            p = node.next.load(Ordering::Relaxed);
-        }
-    }
-}
-
-/// Producer handle of the real backend's lock-free MPSC channel.
-/// Cloneable (multi-producer).
-pub struct RealSender<T> {
-    queue: Arc<RealQueue<T>>,
-}
-
-impl<T> RealSender<T> {
-    /// Enqueue `value`; hands it back when the receiver has dropped.
-    pub fn send(&self, value: T) -> Result<(), T> {
-        if !self.queue.receiver_alive.load(Ordering::Acquire) {
-            return Err(value);
-        }
-        self.queue.push(value);
-        Ok(())
-    }
-}
-
-impl<T> Clone for RealSender<T> {
-    fn clone(&self) -> Self {
-        self.queue.senders.fetch_add(1, Ordering::Relaxed);
-        RealSender {
-            queue: Arc::clone(&self.queue),
-        }
-    }
-}
-
-impl<T> Drop for RealSender<T> {
-    fn drop(&mut self) {
-        if self.queue.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last sender gone: wake the receiver unconditionally (see
-            // the module-level disconnect-path discussion — acquiring
-            // the sleep lock is what makes the wakeup race-free).
-            drop(
-                self.queue
-                    .sleep
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-            self.queue.wake.notify_one();
-        }
-    }
-}
-
-/// Consumer handle of the real backend's lock-free MPSC channel
-/// (single-consumer: not cloneable).
-pub struct RealReceiver<T> {
-    queue: Arc<RealQueue<T>>,
-}
-
-impl<T> RealReceiver<T> {
-    /// Blocking receive; fails once the queue is empty and every sender
-    /// has dropped.
-    pub fn recv(&self) -> Result<T, Disconnected> {
-        // SAFETY: `RealReceiver` is not Clone, so this is the single
-        // consumer.
-        unsafe { self.queue.recv() }
-    }
-
-    /// Messages currently queued (exact when the queue is quiescent).
-    pub fn len(&self) -> usize {
-        self.queue.len.load(Ordering::Acquire)
-    }
-
-    /// True when no message is currently queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> Drop for RealReceiver<T> {
-    fn drop(&mut self) {
-        self.queue.receiver_alive.store(false, Ordering::Release);
-    }
-}
-
-/// Create a real-backend (lock-free MPSC) channel.
-pub fn real_channel<T>() -> (RealSender<T>, RealReceiver<T>) {
-    let queue = Arc::new(RealQueue::new());
-    queue.init_tail();
-    (
-        RealSender {
-            queue: Arc::clone(&queue),
-        },
-        RealReceiver { queue },
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Lock-free SPSC queue with node recycling (the mesh-link fast path).
-// ---------------------------------------------------------------------------
 
 /// Consumed nodes retained per queue for reuse; beyond this they are
 /// freed. 256 nodes cover every in-flight window the archetypes produce
@@ -414,8 +125,8 @@ const SPSC_FREELIST_CAP: usize = 256;
 /// `next` pointer is stable until the popper's CAS and the classic ABA
 /// hazard (head reappearing with a different successor) cannot occur.
 ///
-/// Parking/wakeup and disconnect use the same Dekker parked-flag
-/// protocol as [`RealQueue`] (see the module docs).
+/// Parking/wakeup and disconnect use the Dekker parked-flag protocol
+/// described in the module docs.
 struct SpscQueue<T> {
     /// Most recently pushed node; owned by the single producer.
     head: UnsafeCell<*mut Node<T>>,
@@ -578,9 +289,9 @@ impl<T> SpscQueue<T> {
         let tail = *self.tail.get();
         let next = (*tail).next.load(Ordering::Acquire);
         if next.is_null() {
-            // Unlike the MPSC queue there is no unlinked window: the
-            // producer's single release store publishes node and link
-            // together, so a null `next` means truly empty.
+            // There is no unlinked window: the producer's single release
+            // store publishes node and link together, so a null `next`
+            // means truly empty.
             return None;
         }
         let value = (*next).value.take().expect("pushed node carries a value");
@@ -591,15 +302,18 @@ impl<T> SpscQueue<T> {
     }
 
     /// Consumer side: block until a message arrives or every sender is
-    /// gone. Same protocol as [`RealQueue::recv`].
+    /// gone.
     ///
     /// # Safety
     /// Single-consumer.
     unsafe fn recv(&self) -> Result<T, Disconnected> {
+        // Fast path: no lock while messages are available.
         if let Some(v) = self.try_pop() {
             return Ok(v);
         }
         loop {
+            // Consumer half of the parked-flag protocol (module docs):
+            // lock, set the flag, fence, final empty check, then wait.
             let guard = self.sleep.lock().unwrap_or_else(PoisonError::into_inner);
             self.parked.store(true, Ordering::Relaxed);
             fence(Ordering::SeqCst);
@@ -609,8 +323,12 @@ impl<T> SpscQueue<T> {
             }
             if self.senders.load(Ordering::SeqCst) == 0 {
                 self.parked.store(false, Ordering::Relaxed);
+                // The last sender's teardown happens-before the counter
+                // hitting zero, so one final drain decides conclusively.
                 return self.try_pop().ok_or(Disconnected);
             }
+            // The timeout is belt-and-braces only — the flag protocol
+            // above already rules out lost wakeups.
             let (g, _) = self
                 .wake
                 .wait_timeout(guard, Duration::from_millis(5))
@@ -797,104 +515,54 @@ fn spsc_channel_with<T>(len: Arc<AtomicUsize>) -> (SpscSender<T>, SpscReceiver<T
 }
 
 // ---------------------------------------------------------------------------
-// Unified packet channel: the seam the mailbox and Ctx are written against.
+// Packet links: the seam the mailbox and Ctx are written against.
 // ---------------------------------------------------------------------------
 
-/// Send side of one (source, destination) link, backend-selected.
+/// Send side of one (source, destination) link.
 ///
 /// Mesh links are statically single-sender — channel `(src, dst)` is
 /// pushed only by rank `src`'s thread (clones made by
 /// [`crate::Ctx::scoped`] stay on that thread, and recycled networks are
 /// handed between runs through the cache mutex) — which is the invariant
-/// that lets the real backend ride the SPSC fast path safely.
-pub enum PacketSender {
-    /// Virtual-time oracle link (vendored crossbeam channel) plus the
-    /// mailbox's shared in-flight counter.
-    Virtual(crossbeam::channel::Sender<Packet>, Arc<AtomicUsize>),
-    /// Real-backend link: the lock-free single-sender queue.
-    Real(SpscSender<Packet>),
-}
+/// that lets every link ride the SPSC queue safely. This type upholds it
+/// on behalf of its callers, so its send methods are safe.
+#[derive(Clone)]
+pub struct PacketSender(SpscSender<Packet>);
 
 impl PacketSender {
     /// Put a packet on the wire; hands it back when the destination
     /// rank's mailbox has been torn down (the rank terminated).
     pub fn send(&self, packet: Packet) -> Result<(), SendError> {
-        match self {
-            PacketSender::Virtual(tx, inflight) => {
-                tx.send(packet).map_err(|e| SendError(e.0))?;
-                inflight.fetch_add(1, Ordering::Release);
-                Ok(())
-            }
-            // SAFETY: mesh links are statically single-sender (type
-            // docs); all sends on this link happen on one thread or are
-            // ordered by the network hand-off mutexes.
-            PacketSender::Real(tx) => unsafe { tx.send(packet).map_err(SendError) },
-        }
+        // SAFETY: mesh links are statically single-sender (type docs);
+        // all sends on this link happen on one thread or are ordered by
+        // the network hand-off mutexes.
+        unsafe { self.0.send(packet).map_err(SendError) }
     }
 
     /// Publish without the per-message fence/wake — the batched fan-out
     /// fast path. The caller must run [`publish_fence`] once after its
     /// last publish and then [`PacketSender::wake`] on every destination
-    /// before blocking on anything. On the virtual backend this is a
-    /// plain send (the mutex-based channel has no separate wake step).
+    /// before blocking on anything.
     pub(crate) fn send_publish(&self, packet: Packet) -> Result<(), SendError> {
-        match self {
-            PacketSender::Virtual(..) => self.send(packet),
-            // SAFETY: as for `send`.
-            PacketSender::Real(tx) => unsafe { tx.send_publish(packet).map_err(SendError) },
-        }
+        // SAFETY: as for `send`.
+        unsafe { self.0.send_publish(packet).map_err(SendError) }
     }
 
-    /// The wake half of a batched fan-out; a no-op on the virtual
-    /// backend. Must run after [`publish_fence`].
+    /// The wake half of a batched fan-out. Must run after
+    /// [`publish_fence`].
     pub(crate) fn wake(&self) {
-        match self {
-            PacketSender::Virtual(..) => {}
-            PacketSender::Real(tx) => tx.wake(),
-        }
-    }
-
-    /// Which backend this link belongs to.
-    pub fn backend(&self) -> Backend {
-        match self {
-            PacketSender::Virtual(..) => Backend::Virtual,
-            PacketSender::Real(_) => Backend::Real,
-        }
+        self.0.wake();
     }
 }
 
-impl Clone for PacketSender {
-    fn clone(&self) -> Self {
-        match self {
-            PacketSender::Virtual(tx, inflight) => {
-                PacketSender::Virtual(tx.clone(), Arc::clone(inflight))
-            }
-            PacketSender::Real(tx) => PacketSender::Real(tx.clone()),
-        }
-    }
-}
-
-/// Receive side of one (source, destination) link, backend-selected.
-pub enum PacketReceiver {
-    /// Virtual-time oracle link (vendored crossbeam channel) plus the
-    /// mailbox's shared in-flight counter.
-    Virtual(crossbeam::channel::Receiver<Packet>, Arc<AtomicUsize>),
-    /// Real-backend link (lock-free SPSC queue).
-    Real(SpscReceiver<Packet>),
-}
+/// Receive side of one (source, destination) link.
+pub struct PacketReceiver(SpscReceiver<Packet>);
 
 impl PacketReceiver {
     /// Blocking receive of the next packet on this link; fails once the
     /// link is empty and the sending rank has dropped its send side.
     pub fn recv(&self) -> Result<Packet, Disconnected> {
-        match self {
-            PacketReceiver::Virtual(rx, inflight) => {
-                let pkt = rx.recv().map_err(|_| Disconnected)?;
-                inflight.fetch_sub(1, Ordering::Release);
-                Ok(pkt)
-            }
-            PacketReceiver::Real(rx) => rx.recv(),
-        }
+        self.0.recv()
     }
 
     /// Packets currently in flight. For a link from [`packet_channel`]
@@ -903,10 +571,7 @@ impl PacketReceiver {
     /// the owning mailbox's links — which is exactly what the O(1)
     /// post-run leak check needs.
     pub fn len(&self) -> usize {
-        match self {
-            PacketReceiver::Virtual(_, inflight) => inflight.load(Ordering::Acquire),
-            PacketReceiver::Real(rx) => rx.len(),
-        }
+        self.0.len()
     }
 
     /// True when no packet is currently in flight (same caveat as
@@ -916,33 +581,19 @@ impl PacketReceiver {
     }
 }
 
-/// Create one directed link of the network on the given backend, with a
-/// private in-flight counter.
-pub fn packet_channel(backend: Backend) -> (PacketSender, PacketReceiver) {
-    packet_channel_with(backend, Arc::new(AtomicUsize::new(0)))
+/// Create one directed link of the network with a private in-flight
+/// counter.
+pub fn packet_channel() -> (PacketSender, PacketReceiver) {
+    packet_channel_with(Arc::new(AtomicUsize::new(0)))
 }
 
 /// Create one directed link whose in-flight counter is the given cell.
 /// [`crate::mailbox::build_network`] shares one cell across all links of
 /// a destination's mailbox, making the post-run leak check a single load
 /// per mailbox instead of n per-channel length reads.
-pub fn packet_channel_with(
-    backend: Backend,
-    inflight: Arc<AtomicUsize>,
-) -> (PacketSender, PacketReceiver) {
-    match backend {
-        Backend::Virtual => {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            (
-                PacketSender::Virtual(tx, Arc::clone(&inflight)),
-                PacketReceiver::Virtual(rx, inflight),
-            )
-        }
-        Backend::Real => {
-            let (tx, rx) = spsc_channel_with(inflight);
-            (PacketSender::Real(tx), PacketReceiver::Real(rx))
-        }
-    }
+pub fn packet_channel_with(inflight: Arc<AtomicUsize>) -> (PacketSender, PacketReceiver) {
+    let (tx, rx) = spsc_channel_with(inflight);
+    (PacketSender(tx), PacketReceiver(rx))
 }
 
 #[cfg(test)]
@@ -957,105 +608,6 @@ mod tests {
         } else {
             n
         }
-    }
-
-    #[test]
-    fn real_channel_fifo_single_producer() {
-        let (tx, rx) = real_channel();
-        for i in 0..100u64 {
-            tx.send(i).unwrap();
-        }
-        assert_eq!(rx.len(), 100);
-        for i in 0..100u64 {
-            assert_eq!(rx.recv(), Ok(i));
-        }
-        assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn real_channel_disconnects_after_drain() {
-        let (tx, rx) = real_channel();
-        tx.send(7u32).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Ok(7));
-        assert_eq!(rx.recv(), Err(Disconnected));
-    }
-
-    #[test]
-    fn real_channel_send_fails_after_receiver_drop() {
-        let (tx, rx) = real_channel();
-        drop(rx);
-        assert_eq!(tx.send(1u8), Err(1u8));
-    }
-
-    #[test]
-    fn real_channel_blocking_recv_wakes_on_send() {
-        let (tx, rx) = real_channel();
-        let h = std::thread::spawn(move || rx.recv().unwrap());
-        std::thread::sleep(Duration::from_millis(20));
-        tx.send(42u64).unwrap();
-        assert_eq!(h.join().unwrap(), 42);
-    }
-
-    #[test]
-    fn real_channel_blocking_recv_wakes_on_last_sender_drop() {
-        let (tx, rx) = real_channel::<u8>();
-        let tx2 = tx.clone();
-        let h = std::thread::spawn(move || rx.recv());
-        std::thread::sleep(Duration::from_millis(20));
-        drop(tx);
-        std::thread::sleep(Duration::from_millis(20));
-        drop(tx2); // only the *last* drop may disconnect
-        assert_eq!(h.join().unwrap(), Err(Disconnected));
-    }
-
-    #[test]
-    fn real_channel_multi_producer_per_sender_fifo() {
-        // 4 producers × 500 messages, tagged by producer; the consumer
-        // must observe each producer's stream in order even under real
-        // contention.
-        const PRODUCERS: u64 = 4;
-        let per = scaled(500);
-        let (tx, rx) = real_channel();
-        let handles: Vec<_> = (0..PRODUCERS)
-            .map(|p| {
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        tx.send((p, i)).unwrap();
-                        if i % 64 == 0 {
-                            std::thread::yield_now();
-                        }
-                    }
-                })
-            })
-            .collect();
-        drop(tx);
-        let mut next = [0u64; PRODUCERS as usize];
-        let mut total = 0u64;
-        while let Ok((p, i)) = rx.recv() {
-            assert_eq!(i, next[p as usize], "producer {p} reordered");
-            next[p as usize] += 1;
-            total += 1;
-        }
-        assert_eq!(total, PRODUCERS * per);
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn real_channel_drops_undelivered_payloads() {
-        // Nodes left in the queue when the handles drop must free their
-        // payloads (no leak): observe via Arc strong counts.
-        let payload = Arc::new(5u64);
-        let (tx, rx) = real_channel();
-        tx.send(Arc::clone(&payload)).unwrap();
-        tx.send(Arc::clone(&payload)).unwrap();
-        assert_eq!(Arc::strong_count(&payload), 3);
-        drop(tx);
-        drop(rx);
-        assert_eq!(Arc::strong_count(&payload), 1);
     }
 
     #[test]
@@ -1184,9 +736,11 @@ mod tests {
             drop(tx);
             assert_eq!(consumer.join().unwrap(), msgs);
         }
-        // Same race on the MPSC queue's disconnect path.
+        // Same race with the send side split across cloned handles (as
+        // scoped contexts hold them): only the *last* drop disconnects,
+        // and it may land anywhere in the consumer's park sequence.
         for round in 0..scaled(200) {
-            let (tx, rx) = real_channel::<u64>();
+            let (tx, rx) = spsc_channel::<u64>();
             let msgs = round % 4;
             let consumer = std::thread::spawn(move || {
                 let mut got = 0u64;
@@ -1195,48 +749,41 @@ mod tests {
                 }
                 got
             });
+            let clone = tx.clone();
             for i in 0..msgs {
-                tx.send(i).unwrap();
+                unsafe { tx.send(i).unwrap() };
             }
+            drop(tx);
             if round % 2 == 0 {
                 std::thread::yield_now();
             }
-            drop(tx);
+            drop(clone);
             assert_eq!(consumer.join().unwrap(), msgs);
         }
     }
 
     #[test]
-    fn packet_channel_selects_backend() {
-        let (tx, rx) = packet_channel(Backend::Real);
-        assert_eq!(tx.backend(), Backend::Real);
-        assert!(rx.is_empty());
-        let (tx, _rx) = packet_channel(Backend::Virtual);
-        assert_eq!(tx.backend(), Backend::Virtual);
-    }
-
-    #[test]
     fn packet_channels_share_an_inflight_cell() {
-        for backend in [Backend::Virtual, Backend::Real] {
-            let cell = Arc::new(AtomicUsize::new(0));
-            let (tx_a, rx_a) = packet_channel_with(backend, Arc::clone(&cell));
-            let (tx_b, rx_b) = packet_channel_with(backend, Arc::clone(&cell));
-            let pkt = |tag: u64| Packet {
-                from: 0,
-                scope: 0,
-                tag,
-                bytes: 0,
-                arrival_time: 0.0,
-                body: crate::packet::PacketBody::Owned(Box::new(0u8)),
-            };
-            tx_a.send(pkt(1)).unwrap();
-            tx_b.send(pkt(2)).unwrap();
-            assert_eq!(cell.load(Ordering::Acquire), 2, "{backend}");
-            rx_a.recv().unwrap();
-            assert_eq!(cell.load(Ordering::Acquire), 1, "{backend}");
-            rx_b.recv().unwrap();
-            assert_eq!(cell.load(Ordering::Acquire), 0, "{backend}");
-        }
+        let cell = Arc::new(AtomicUsize::new(0));
+        let (tx_a, rx_a) = packet_channel_with(Arc::clone(&cell));
+        let (tx_b, rx_b) = packet_channel_with(Arc::clone(&cell));
+        let pkt = |tag: u64| Packet {
+            from: 0,
+            scope: 0,
+            tag,
+            bytes: 0,
+            arrival_time: 0.0,
+            body: crate::packet::PacketBody::Owned(Box::new(0u8)),
+        };
+        tx_a.send(pkt(1)).unwrap();
+        tx_b.send(pkt(2)).unwrap();
+        assert_eq!(cell.load(Ordering::Acquire), 2);
+        assert_eq!(rx_a.len(), 2, "a link reports its mailbox's shared count");
+        rx_a.recv().unwrap();
+        assert_eq!(cell.load(Ordering::Acquire), 1);
+        rx_b.recv().unwrap();
+        assert_eq!(cell.load(Ordering::Acquire), 0);
+        assert!(rx_a.is_empty() && rx_b.is_empty());
     }
 
     #[test]
@@ -1244,7 +791,7 @@ mod tests {
         // The batched fan-out path: publish (no wake), fence, wake. The
         // parked consumer must observe the message promptly through the
         // explicit wake, not just the fallback timeout.
-        let (tx, rx) = packet_channel(Backend::Real);
+        let (tx, rx) = packet_channel();
         let h = std::thread::spawn(move || rx.recv().unwrap().tag);
         std::thread::sleep(Duration::from_millis(20));
         tx.send_publish(Packet {

@@ -19,9 +19,9 @@
 //!    when out; a consumer returns one credit per item *after*
 //!    forwarding it downstream, so backpressure from a slow stage
 //!    propagates all the way to ingest — in virtual time as well as in
-//!    bounded memory. Credit edges are ordinary mesh links, so on the
-//!    real backend they transparently ride the substrate's SPSC fast
-//!    path (every link has a statically unique sender) with recycled
+//!    bounded memory. Credit edges are ordinary mesh links, so they
+//!    transparently ride the substrate's SPSC fast path (every link
+//!    has a statically unique sender) with recycled
 //!    queue nodes and arena-backed payload boxes — the credit chatter
 //!    of a long stream allocates nothing in steady state.
 //! 3. **End of stream** is an explicit marker sent once per (producer,

@@ -46,8 +46,8 @@
 //! ```
 //!
 //! See `examples/` for runnable demonstrations and `crates/bench` for the
-//! per-figure reproduction harness (EXPERIMENTS.md documents
-//! paper-vs-measured for every figure).
+//! per-figure reproduction harness and the `BENCH_*.json` snapshot
+//! binaries (the README's "Benchmarks" section lists them).
 
 /// The archetype framework: execution modes, `parfor`/`forall`,
 /// reductions, phase metadata and tracing (re-export of `archetype-core`).

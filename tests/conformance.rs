@@ -25,7 +25,7 @@ use parallel_archetypes::dc::{
 use parallel_archetypes::farm::apps::GridSweepFarm;
 use parallel_archetypes::farm::{run_farm_traced, Farm, FarmConfig, WorkScope};
 use parallel_archetypes::mesh::apps::poisson::{poisson_spmd_traced, sine_problem};
-use parallel_archetypes::mp::{run_spmd, run_spmd_real, MachineModel, ProcessGrid2};
+use parallel_archetypes::mp::{run_spmd, MachineModel, ProcessGrid2};
 use parallel_archetypes::pipeline::{
     run_pipeline_traced, Pipeline, PipelineConfig, Stage as PipeStage,
 };
@@ -289,10 +289,9 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Real backend: PhaseTraces are logical structure, so the grammars
-    // accept them regardless of which transport carried the messages —
-    // and because the real backend maintains the virtual clock, the
-    // trace is the *same sentence*, not merely another accepted one.
+    // Shared-memory transport with free-running ranks: PhaseTraces are
+    // logical structure, so the grammars accept them no matter how the
+    // threads interleaved the deliveries.
     // ------------------------------------------------------------------
 
     #[test]
@@ -303,22 +302,12 @@ proptest! {
         steal in any::<bool>(),
     ) {
         let farm = SpawnFarm { roots, spawn };
-        let run = |real: bool| {
-            let trace = PhaseTrace::new();
-            let body = |ctx: &mut parallel_archetypes::mp::Ctx| {
-                let config = FarmConfig { steal, ..FarmConfig::default() };
-                run_farm_traced(&farm, ctx, config, Some(&trace)).0
-            };
-            if real {
-                run_spmd_real(p, MachineModel::ibm_sp(), body);
-            } else {
-                run_spmd(p, MachineModel::ibm_sp(), body);
-            }
-            trace.kinds()
-        };
-        let real_kinds = run(true);
-        assert_conforms(&TASK_FARM, &real_kinds, "run_farm_traced (real backend)");
-        prop_assert_eq!(run(false), real_kinds, "same sentence on both backends");
+        let trace = PhaseTrace::new();
+        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+            let config = FarmConfig { steal, ..FarmConfig::default() };
+            run_farm_traced(&farm, ctx, config, Some(&trace)).0
+        });
+        assert_conforms(&TASK_FARM, &trace.kinds(), "run_farm_traced (spawning farm)");
     }
 
     #[test]
@@ -332,10 +321,10 @@ proptest! {
             stages: (0..n_stages as u64).map(AddStage).collect(),
         };
         let trace = PhaseTrace::new();
-        run_spmd_real(p, MachineModel::ibm_sp(), |ctx| {
+        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
             run_pipeline_traced(&pipe, ctx, PipelineConfig::default(), Some(&trace)).0
         });
-        assert_conforms(&PIPELINE, &trace.kinds(), "run_pipeline_traced (real backend)");
+        assert_conforms(&PIPELINE, &trace.kinds(), "run_pipeline_traced (concurrent ranks)");
     }
 
     #[test]
@@ -347,21 +336,21 @@ proptest! {
     ) {
         let input: Vec<i64> = (0..n as i64).map(|i| (n as i64 - i) * 31 % 257).collect();
         let policy = CutoffPolicy::new(2, 32, depth);
-        let out = run_spmd_real(p, MachineModel::ibm_sp(), move |ctx| {
+        let out = run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
             let local = (ctx.rank() == 0).then(|| input.clone());
             let t = PhaseTrace::new();
             run_spmd_recursive(&RecursiveMergesort::<i64>::new(), ctx, local, &policy, Some(&t));
             t.kinds()
         });
-        assert_conforms(&RECURSIVE_DC, &out.results[0], "run_spmd_recursive rank 0 (real backend)");
+        assert_conforms(&RECURSIVE_DC, &out.results[0], "run_spmd_recursive rank 0 (concurrent ranks)");
 
         let spec = sine_problem(12, 1e-7, iter_cap);
         let pg = grid_for(p);
         let trace = PhaseTrace::new();
-        run_spmd_real(p, MachineModel::ibm_sp(), |ctx| {
+        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
             poisson_spmd_traced(ctx, &spec, pg, Some(&trace)).iters
         });
-        assert_conforms(&MESH_SPECTRAL, &trace.kinds(), "poisson_spmd_traced (real backend)");
+        assert_conforms(&MESH_SPECTRAL, &trace.kinds(), "poisson_spmd_traced (concurrent ranks)");
     }
 
     #[test]
@@ -373,13 +362,13 @@ proptest! {
         let cfg = ForecastConfig { sweep_points, mesh_n, mesh_iters: 20 };
         let plan = forecast_plan(cfg);
         let trace = PhaseTrace::new();
-        run_spmd_real(p, MachineModel::ibm_sp(), |ctx| {
+        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
             run_plan_traced(ctx, &plan, forecast_input(), Some(&trace)).1
         });
         let kinds = trace.kinds();
         prop_assert!(
             plan.grammar().matches(&kinds),
-            "p={p}: real-backend composite trace {kinds:?} rejected by the derived grammar"
+            "p={p}: composite trace {kinds:?} rejected by the derived grammar"
         );
     }
 }

@@ -1,7 +1,8 @@
 //! Cross-crate integration tests of the paper's central claim: the
 //! archetype transformations preserve semantics, so the sequential
 //! version 1, the rayon version 1, and the distributed-memory version 2
-//! of every application compute the same thing.
+//! of every application compute the same thing — and the distributed
+//! version computes it bit-identically on every run.
 
 use parallel_archetypes::compose::{
     forecast_input, forecast_plan, run_plan, run_plan_with, ComposeConfig, ForecastConfig, ParMode,
@@ -13,10 +14,15 @@ use parallel_archetypes::dc::{
     Building, OneDeepClosest, OneDeepHull, OneDeepMergesort, OneDeepQuicksort, OneDeepSkyline,
     Point,
 };
+use parallel_archetypes::dc::{run_spmd_recursive, CutoffPolicy, RecursiveMergesort};
+use parallel_archetypes::farm::apps::GridSweepFarm;
+use parallel_archetypes::farm::{run_farm, Farm, FarmConfig, WorkScope};
 use parallel_archetypes::mesh::apps::airshed::{airshed_shared, airshed_spmd, AirshedSpec};
 use parallel_archetypes::mesh::apps::cfd::{cfd_shared, cfd_spmd, shock_sine_init, CfdSpec};
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, sine_problem};
 use parallel_archetypes::mp::{run_spmd, MachineModel, ProcessGrid2};
+use parallel_archetypes::pipeline::{run_pipeline, Pipeline, PipelineConfig, Stage as PipeStage};
+use proptest::prelude::*;
 
 mod common;
 use common::assert_bit_identical_runs;
@@ -222,7 +228,6 @@ fn recursive_dc_runs_are_bit_identical() {
     // runs of the same program produce bit-identical results, virtual
     // clocks, statistics, and per-rank phase traces.
     use parallel_archetypes::core::PhaseTrace;
-    use parallel_archetypes::dc::{run_spmd_recursive, CutoffPolicy, RecursiveMergesort};
 
     let input = int_blocks(1, 3000, 17).pop().unwrap();
     let policy = CutoffPolicy::new(2, 64, 10);
@@ -254,7 +259,6 @@ fn recursive_dc_result_is_machine_model_invariant() {
     // The machine model changes clocks and the model-derived cutoff, but
     // never the result.
     use parallel_archetypes::dc::perfmodel::recursion_policy;
-    use parallel_archetypes::dc::{run_spmd_recursive, RecursiveMergesort};
 
     let input = int_blocks(1, 4000, 5).pop().unwrap();
     let reference = sequential_mergesort(input.clone());
@@ -286,7 +290,7 @@ fn pipeline_runs_are_bit_identical() {
     // helper rather than a fourth hand-rolled copy.
     use parallel_archetypes::core::PhaseTrace;
     use parallel_archetypes::pipeline::apps::ImageChain;
-    use parallel_archetypes::pipeline::{run_pipeline_traced, run_sequential, PipelineConfig};
+    use parallel_archetypes::pipeline::{run_pipeline_traced, run_sequential};
 
     let chain = ImageChain::new(96, 64, 16, 6);
     let a = assert_bit_identical_runs("pipeline image chain", || {
@@ -308,7 +312,7 @@ fn pipeline_result_is_machine_model_and_config_invariant() {
     // The machine model changes clocks and the model-derived placement
     // plan (replica counts), but never the emitted result.
     use parallel_archetypes::pipeline::apps::TopKStream;
-    use parallel_archetypes::pipeline::{run_pipeline, run_sequential, PipelineConfig};
+    use parallel_archetypes::pipeline::run_sequential;
 
     let stream = TopKStream::new(48, 64, 8, 32, 3.0);
     let (reference, _) = run_sequential(&stream);
@@ -422,4 +426,263 @@ fn composed_plan_results_and_stats_are_process_count_and_schedule_invariant() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// p-sweeps: repeated runs over random inputs are bit-identical.
+// ---------------------------------------------------------------------------
+//
+// Ranks are free-running threads on lock-free links, so every run may
+// interleave deliveries differently; nothing observable through the
+// matching interface may change. For each archetype the same case runs
+// twice over random inputs × p ∈ 1..8, and results, per-rank virtual
+// clocks, and elapsed virtual time must coincide bit for bit. Only the
+// measured `wall_us` may differ.
+
+/// A minimal pipeline with a configurable stage count.
+struct NStage {
+    items: u64,
+    stages: Vec<AddStage>,
+}
+#[derive(Clone, Copy)]
+struct AddStage(u64);
+impl PipeStage<u64> for AddStage {
+    fn transform(&self, _seq: u64, item: u64) -> u64 {
+        item.wrapping_add(self.0)
+    }
+}
+impl Pipeline for NStage {
+    type Item = u64;
+    type Out = u64;
+    fn ingest(&self, seq: u64) -> Option<u64> {
+        (seq < self.items).then_some(seq)
+    }
+    fn stages(&self) -> Vec<&dyn PipeStage<u64>> {
+        self.stages
+            .iter()
+            .map(|s| s as &dyn PipeStage<u64>)
+            .collect()
+    }
+    fn out_identity(&self) -> u64 {
+        0
+    }
+    fn emit(&self, acc: u64, _seq: u64, item: u64) -> u64 {
+        acc.wrapping_add(item)
+    }
+}
+
+/// A farm that spawns child tasks from its roots, stressing the
+/// work-redistribution protocol.
+struct SpawnFarm {
+    roots: u64,
+    spawn: u64,
+}
+impl Farm for SpawnFarm {
+    type Task = (u64, bool);
+    type Out = u64;
+    type Hint = ();
+    fn seed(&self) -> Vec<(u64, bool)> {
+        (0..self.roots).map(|k| (k, true)).collect()
+    }
+    fn work(&self, (k, root): (u64, bool), scope: &mut WorkScope<'_, Self>) {
+        if root {
+            for i in 0..self.spawn {
+                scope.spawn((k * 100 + i, false));
+            }
+        } else {
+            scope.emit(k);
+        }
+    }
+    fn out_identity(&self) -> u64 {
+        0
+    }
+    fn reduce(&self, a: u64, b: u64) -> u64 {
+        a + b
+    }
+}
+
+/// A process grid for `p` ranks.
+fn grid_for(p: usize) -> ProcessGrid2 {
+    match p {
+        4 => ProcessGrid2::new(2, 2),
+        6 => ProcessGrid2::new(2, 3),
+        8 => ProcessGrid2::new(2, 4),
+        _ => ProcessGrid2::new(1, p),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn farm_sweep_runs_are_bit_identical(
+        p in 1usize..9,
+        points in 1u32..48,
+        steal in any::<bool>(),
+        roots in 0u64..24,
+        spawn in 0u64..5,
+    ) {
+        // Score-table farm: irregular costs, order-canonicalized output.
+        let farm = GridSweepFarm { lo: -1.0, hi: 2.0, points };
+        assert_bit_identical_runs(&format!("grid sweep farm p={p}"), || {
+            let farm = farm.clone();
+            run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
+                let config = FarmConfig { steal, ..FarmConfig::default() };
+                let (out, stats) = run_farm(&farm, ctx, config);
+                // Scores to bits: "bit-identical" means exactly that.
+                let bits: Vec<(u32, u64)> =
+                    out.into_iter().map(|(i, s)| (i, s.to_bits())).collect();
+                (bits, stats.executed, ctx.stats().msgs_sent, ctx.stats().bytes_sent)
+            })
+        });
+        // Dynamic task spawning, with and without stealing.
+        let farm = SpawnFarm { roots, spawn };
+        let out = assert_bit_identical_runs(&format!("spawn farm p={p}"), || {
+            run_spmd(p, MachineModel::cray_t3d(), |ctx| {
+                let config = FarmConfig { steal, ..FarmConfig::default() };
+                run_farm(&farm, ctx, config).0
+            })
+        });
+        let expected: u64 = (0..roots)
+            .flat_map(|k| (0..spawn).map(move |i| k * 100 + i))
+            .sum();
+        prop_assert_eq!(out.results[0], expected);
+    }
+
+    #[test]
+    fn recursive_dc_sweep_runs_are_bit_identical(
+        p in 1usize..9,
+        n in 1usize..600,
+        branching in 2usize..4,
+        cutoff in 1usize..64,
+        depth in 0usize..4,
+    ) {
+        let input: Vec<i64> = (0..n as i64).map(|i| (i * 48271 + 11) % 9973 - 4000).collect();
+        let policy = CutoffPolicy::new(branching, cutoff, depth);
+        let out = assert_bit_identical_runs(&format!("recursive dc p={p} n={n}"), || {
+            let inp = input.clone();
+            run_spmd(p, MachineModel::intel_delta(), move |ctx| {
+                let local = (ctx.rank() == 0).then(|| inp.clone());
+                let sorted = run_spmd_recursive(
+                    &RecursiveMergesort::<i64>::new(), ctx, local, &policy, None,
+                );
+                (sorted, ctx.stats().msgs_sent, ctx.stats().bytes_sent)
+            })
+        });
+        let mut expected = input.clone();
+        expected.sort_unstable();
+        prop_assert_eq!(out.results[0].0.as_ref(), Some(&expected));
+    }
+
+    #[test]
+    fn pipeline_sweep_runs_are_bit_identical(
+        p in 1usize..9,
+        items in 0u64..80,
+        n_stages in 0usize..5,
+        window in 1usize..6,
+    ) {
+        let pipe = NStage {
+            items,
+            stages: (0..n_stages as u64).map(AddStage).collect(),
+        };
+        let out = assert_bit_identical_runs(
+            &format!("pipeline p={p} items={items} stages={n_stages}"),
+            || {
+                run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+                    let config = PipelineConfig { window, ..PipelineConfig::default() };
+                    (run_pipeline(&pipe, ctx, config).0, ctx.stats().msgs_sent)
+                })
+            },
+        );
+        let offset: u64 = (0..n_stages as u64).sum();
+        let expected: u64 = (0..items).map(|s| s + offset).sum();
+        prop_assert_eq!(out.results[0].0, expected);
+    }
+
+    #[test]
+    fn mesh_sweep_runs_are_bit_identical(
+        p in 1usize..9,
+        n in 8usize..20,
+        iter_cap in 1usize..60,
+    ) {
+        let spec = sine_problem(n, 1e-6, iter_cap);
+        let pg = grid_for(p);
+        assert_bit_identical_runs(&format!("poisson mesh p={p} n={n}"), || {
+            run_spmd(p, MachineModel::cray_t3d(), move |ctx| {
+                let out = poisson_spmd(ctx, &spec, pg);
+                let grid_bits: Option<Vec<u64>> = out
+                    .grid
+                    .map(|g| g.iter().map(|x| x.to_bits()).collect());
+                (out.iters, grid_bits)
+            })
+        });
+    }
+
+    #[test]
+    fn composed_plan_sweep_runs_are_bit_identical(
+        p in 1usize..9,
+        sweep_points in 8u32..24,
+        mesh_n in 8usize..14,
+        mesh_iters in 5usize..30,
+    ) {
+        // The flagship composite — (farm ∥ mesh) → recursive DC →
+        // pipeline — over the model-driven allocator: scoped
+        // contexts, tag namespaces, and subgroup collectives.
+        let cfg_fc = ForecastConfig { sweep_points, mesh_n, mesh_iters };
+        assert_bit_identical_runs(&format!("forecast composite p={p}"), || {
+            run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+                let (value, stats) =
+                    run_plan(ctx, &forecast_plan(cfg_fc), forecast_input());
+                (value, stats, ctx.now().to_bits())
+            })
+        });
+    }
+}
+
+/// Scoped contexts and tag namespaces stay isolated run after run:
+/// sibling scopes reuse identical tags and receive out of send order.
+#[test]
+fn scoped_sibling_isolation_runs_are_bit_identical() {
+    let out = assert_bit_identical_runs("scoped siblings", || {
+        run_spmd(4, MachineModel::ibm_sp(), |ctx| {
+            let half: Vec<usize> = if ctx.rank() < 2 {
+                vec![0, 1]
+            } else {
+                vec![2, 3]
+            };
+            let marker = (ctx.rank() / 2) as u64;
+            let got = ctx.scoped(&half, 1, |ctx| {
+                let partner = 1 - ctx.rank();
+                ctx.send(partner, 40, marker * 100);
+                ctx.send(partner, 41, marker);
+                let late: u64 = ctx.recv(partner, 41);
+                let early: u64 = ctx.recv(partner, 40);
+                (early, late)
+            });
+            let world = ctx.all_reduce(1u64, |a, b| a + b);
+            (got, world, ctx.now().to_bits())
+        })
+    });
+    let pairs: Vec<_> = out
+        .results
+        .iter()
+        .map(|(got, world, _)| (*got, *world))
+        .collect();
+    assert_eq!(
+        pairs,
+        vec![((0, 0), 4), ((0, 0), 4), ((100, 1), 4), ((100, 1), 4)]
+    );
+}
+
+/// Every run reports measured wall time; the determinism snapshot
+/// deliberately excludes it.
+#[test]
+fn wall_us_is_reported_and_excluded_from_equivalence() {
+    let out = assert_bit_identical_runs("all-reduce", || {
+        run_spmd(4, MachineModel::ibm_sp(), |ctx| {
+            ctx.all_reduce(ctx.rank() as u64, |a, b| a + b)
+        })
+    });
+    assert_eq!(out.results, vec![6, 6, 6, 6]);
+    assert!(out.wall_us > 0, "dispatching four ranks takes host time");
 }

@@ -3,53 +3,10 @@
 //! entry point), must quarantine the dirty network rather than recycling
 //! it, and must leave the thread pool fully usable for later runs.
 
-use parallel_archetypes::mp::{
-    run_spmd, run_spmd_ft_with, try_run_spmd, Backend, FaultPlan, MachineModel, RunConfig,
-    SpmdError,
-};
+use parallel_archetypes::mp::{run_spmd, try_run_spmd, MachineModel};
 
 mod common;
 use common::assert_bit_identical_runs;
-
-/// Fault injection is virtual-backend-only, and that contract is now
-/// *enforced*: a `RunConfig` selecting `Backend::Real` is rejected with
-/// a typed error before anything runs — not silently executed, not a
-/// panic.
-#[test]
-fn fault_injection_on_the_real_backend_is_a_typed_error() {
-    let err = run_spmd_ft_with(
-        3,
-        MachineModel::ibm_sp(),
-        FaultPlan::new(0),
-        RunConfig::real(),
-        |ctx| ctx.rank(),
-    )
-    .expect_err("the real backend must be rejected");
-    assert!(
-        matches!(
-            err,
-            SpmdError::UnsupportedBackend {
-                entry: "run_spmd_ft",
-                backend: Backend::Real,
-            }
-        ),
-        "expected UnsupportedBackend, got {err:?}"
-    );
-    assert!(err.failures().is_empty(), "no rank ever ran");
-    assert!(err.to_string().contains("run_spmd_ft"));
-
-    // The identical call on the virtual backend succeeds — the guard
-    // rejects the backend, not the entry point.
-    let ok = run_spmd_ft_with(
-        3,
-        MachineModel::ibm_sp(),
-        FaultPlan::new(0),
-        RunConfig::virtual_time(),
-        |ctx| ctx.rank(),
-    )
-    .expect("virtual fault runs are supported");
-    assert!(ok.all_ok());
-}
 
 #[test]
 fn a_rank_panic_surfaces_as_a_structured_error() {

@@ -8,18 +8,18 @@
 //! messages were pulled off the channel while matching *other* tags hits
 //! the buffered path.
 //!
-//! The single-threaded properties run against the virtual backend; the
-//! `real_backend_*` properties below run the same matching contract over
-//! the real lock-free channels with genuinely concurrent sender threads —
-//! per-tag FIFO and per-sender independence must hold *without* the
-//! virtual clock (or any lock) serializing deliveries.
+//! The first properties are single-threaded; the `real_backend_*`
+//! properties below run the same matching contract with genuinely
+//! concurrent sender threads on the lock-free links — per-tag FIFO and
+//! per-sender independence must hold *without* the virtual clock (or
+//! any lock) serializing deliveries.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallel_archetypes::mp::mailbox::build_network;
 use parallel_archetypes::mp::packet::{Packet, PacketBody};
-use parallel_archetypes::mp::transport::{spsc_channel, Backend, Disconnected};
+use parallel_archetypes::mp::transport::{spsc_channel, Disconnected};
 
 fn pkt(from: usize, tag: u64, value: u64) -> Packet {
     Packet {
@@ -49,7 +49,7 @@ proptest! {
     ) {
         // Send messages with random tags, stamping each with its global
         // send index; then drain in a (different) randomized tag order.
-        let (tx, mut mb) = build_network(2, Backend::Virtual);
+        let (tx, mut mb) = build_network(2);
         let mut per_tag: std::collections::HashMap<u64, std::collections::VecDeque<u64>> =
             std::collections::HashMap::new();
         for (i, &t) in tags.iter().enumerate() {
@@ -89,7 +89,7 @@ proptest! {
         // receives the oldest outstanding message of a random
         // already-sent tag. Receiving a tag whose turn hasn't come yet
         // forces other tags through the pending buffer.
-        let (tx, mut mb) = build_network(2, Backend::Virtual);
+        let (tx, mut mb) = build_network(2);
         let mut outstanding: std::collections::HashMap<u64, std::collections::VecDeque<u64>> =
             std::collections::HashMap::new();
         let mut sent = 0u64;
@@ -140,7 +140,7 @@ proptest! {
         // per-(sender, tag) FIFO must hold for each independently even
         // when all of one sender's traffic is buffered while draining
         // the other.
-        let (tx, mut mb) = build_network(3, Backend::Virtual);
+        let (tx, mut mb) = build_network(3);
         for (i, &t) in tags_a.iter().enumerate() {
             tx[2][0].send(pkt(0, t, i as u64)).unwrap();
         }
@@ -179,7 +179,7 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Real backend: the same contract over the lock-free channels.
+    // Concurrent senders: the same contract with real threads racing.
     // ------------------------------------------------------------------
 
     #[test]
@@ -187,17 +187,26 @@ proptest! {
         tags in vec(0u64..6, 1..60),
         drain_order in vec(any::<u32>(), 1..60),
     ) {
-        // Identical schedule to the virtual-backend property above, but
-        // over the lock-free queue: the pending-buffer path must behave
-        // the same on both transports.
-        let (tx, mut mb) = build_network(2, Backend::Real);
+        // Same schedule as the first property above, but the sends race
+        // the drain from another thread: a receive may block before its
+        // message exists, or buffer messages that land mid-drain, and
+        // the pending-buffer path must still preserve per-tag order.
+        let (mut tx, mut mb) = build_network(2);
+        let link = tx.remove(0).remove(1); // senders[0][1]: rank 1 -> rank 0
         let mut per_tag: std::collections::HashMap<u64, std::collections::VecDeque<u64>> =
             std::collections::HashMap::new();
         for (i, &t) in tags.iter().enumerate() {
-            tx[0][1].send(pkt(1, t, i as u64)).unwrap();
             per_tag.entry(t).or_default().push_back(i as u64);
         }
-        prop_assert_eq!(mb[0].unconsumed(), tags.len());
+        let sends = tags.clone();
+        let sender = std::thread::spawn(move || {
+            for (i, &t) in sends.iter().enumerate() {
+                link.send(pkt(1, t, i as u64)).unwrap();
+                if i % 3 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
 
         let mut remaining: Vec<u64> = per_tag.keys().copied().collect();
         remaining.sort_unstable();
@@ -213,6 +222,7 @@ proptest! {
                 remaining.remove(choice);
             }
         }
+        sender.join().unwrap();
         prop_assert_eq!(mb[0].unconsumed(), 0);
     }
 
@@ -227,7 +237,7 @@ proptest! {
         // drains (sender, tag) streams in a scrambled order; per-sender
         // per-tag FIFO must still hold, and blocking receives must wake
         // correctly even when posted before the message exists.
-        let (mut tx, mut mb) = build_network(3, Backend::Real);
+        let (mut tx, mut mb) = build_network(3);
         let row = tx.remove(2); // senders[2][src]: links into rank 2
         let mut row = row.into_iter();
         let s0 = row.next().unwrap();
@@ -291,7 +301,7 @@ proptest! {
         // receiver *chooses* which sender to drain first, and the values
         // observed depend only on that choice — never on which thread's
         // messages physically landed first.
-        let (mut tx, mut mb) = build_network(3, Backend::Real);
+        let (mut tx, mut mb) = build_network(3);
         let row = tx.remove(2);
         let mut row = row.into_iter();
         let s0 = row.next().unwrap();

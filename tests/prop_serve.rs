@@ -2,8 +2,7 @@
 //! tenants, process counts, and admission widths, the wave packer must
 //! partition the world exactly (no oversubscription, no idle ranks, FIFO
 //! order preserved), per-tenant accounting must be schedule-invariant,
-//! and same-seed service runs must be bit-identical on the virtual
-//! backend.
+//! and same-seed service runs must be bit-identical.
 
 mod common;
 
@@ -171,7 +170,7 @@ proptest! {
         // virtual time must all be bit-identical across runs.
         common::assert_bit_identical_runs("plan service", || {
             service(&mix, p, max_concurrent)
-                .serve_spmd(MachineModel::cray_t3d(), RunConfig::virtual_time())
+                .serve_spmd(MachineModel::cray_t3d(), RunConfig::default())
         });
     }
 }

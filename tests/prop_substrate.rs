@@ -1,17 +1,18 @@
 //! Property-based tests of the message-passing substrate and numerical
 //! kernels: collectives against their sequential definitions, virtual-time
 //! determinism and monotonicity, FFT round-trips, and redistribution
-//! round-trips for arbitrary matrix shapes — plus the same collective
-//! identities re-run on the real shared-memory backend, where nothing
-//! serializes ranks through a virtual clock and the lock-free channels see
-//! genuinely concurrent producers.
+//! round-trips for arbitrary matrix shapes — plus the `real_backend_*`
+//! properties: collective identities and repeatability on the
+//! shared-memory transport, where nothing serializes ranks through a
+//! virtual clock and the lock-free links see genuinely concurrent
+//! producers.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallel_archetypes::mesh::redist::{cols_to_rows, rows_to_cols, RowDist};
 use parallel_archetypes::mp::topology::{block_owner, block_range};
-use parallel_archetypes::mp::{run_spmd, run_spmd_real, Group, MachineModel};
+use parallel_archetypes::mp::{run_spmd, run_spmd_unpooled, Group, MachineModel};
 use parallel_archetypes::numerics::{fft, ifft, Complex};
 
 proptest! {
@@ -302,9 +303,10 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Real backend: the collective identities must hold without the
-    // virtual clock serializing anything, and repeated runs must stay
-    // bit-identical even though thread interleavings differ each time.
+    // Shared-memory transport: the collective identities must hold
+    // without the virtual clock serializing anything, and repeated runs
+    // must stay bit-identical even though thread interleavings differ
+    // each time.
     // ------------------------------------------------------------------
 
     #[test]
@@ -313,7 +315,7 @@ proptest! {
     ) {
         let n = values.len();
         let expected: i64 = values.iter().sum();
-        let out = run_spmd_real(n, MachineModel::ibm_sp(), |ctx| {
+        let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
             let sum = ctx.all_reduce(values[ctx.rank()], |a, b| a + b);
             let gathered = ctx.all_gather(values[ctx.rank()]);
             (sum, gathered)
@@ -326,7 +328,7 @@ proptest! {
 
     #[test]
     fn real_backend_all_to_all_is_a_transpose(n in 1usize..9, seed in any::<u32>()) {
-        let out = run_spmd_real(n, MachineModel::cray_t3d(), move |ctx| {
+        let out = run_spmd(n, MachineModel::cray_t3d(), move |ctx| {
             let items: Vec<u64> = (0..ctx.nprocs() as u64)
                 .map(|d| ctx.rank() as u64 * 1000 + d + seed as u64)
                 .collect();
@@ -345,9 +347,10 @@ proptest! {
         at in 0usize..8,
         value in any::<u32>(),
     ) {
-        // Disjoint groups exercise scoped contexts and tag namespaces;
-        // the real backend must produce the same per-rank tuples (and
-        // the same virtual clocks) as the default backend.
+        // Disjoint groups exercise scoped contexts and tag namespaces; a
+        // pooled run on a recycled network must produce the same
+        // per-rank tuples (and the same virtual clocks) as a run on
+        // fresh threads and a fresh network.
         let boundary = at % n;
         let body = move |ctx: &mut parallel_archetypes::mp::Ctx| {
             let colors: Vec<usize> =
@@ -359,16 +362,16 @@ proptest! {
             let world = ctx.all_reduce(base, u64::wrapping_add);
             (red, gat, world)
         };
-        let real = run_spmd_real(n, MachineModel::ibm_sp(), body);
-        let modeled = run_spmd(n, MachineModel::ibm_sp(), body);
-        prop_assert_eq!(&real.results, &modeled.results);
-        prop_assert_eq!(real.rank_times, modeled.rank_times);
+        let pooled = run_spmd(n, MachineModel::ibm_sp(), body);
+        let fresh = run_spmd_unpooled(n, MachineModel::ibm_sp(), body);
+        prop_assert_eq!(&pooled.results, &fresh.results);
+        prop_assert_eq!(pooled.rank_times, fresh.rank_times);
     }
 
     #[test]
     fn real_backend_runs_are_repeatable(n in 1usize..9, work in 0.0f64..10.0) {
         let run = || {
-            run_spmd_real(n, MachineModel::intel_delta(), |ctx| {
+            run_spmd(n, MachineModel::intel_delta(), |ctx| {
                 ctx.charge_seconds(work * (ctx.rank() + 1) as f64);
                 ctx.barrier();
                 ctx.all_reduce(1u64, |a, b| a + b);
@@ -379,8 +382,7 @@ proptest! {
         let b = run();
         prop_assert_eq!(&a.results, &b.results);
         prop_assert_eq!(a.rank_times, b.rank_times);
-        // wall_us is the one legitimately run-dependent field; it must
-        // still be present on both runs.
+        // wall_us is the one legitimately run-dependent field.
         prop_assert!(a.results.len() == n);
     }
 
@@ -390,7 +392,7 @@ proptest! {
         nrows in 1usize..20,
         ncols in 1usize..20,
     ) {
-        run_spmd_real(p, MachineModel::ibm_sp(), move |ctx| {
+        run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
             let rd = RowDist::from_global(ctx.rank(), ctx.nprocs(), nrows, ncols, |r, c| {
                 (r * 1000 + c) as f64
             });

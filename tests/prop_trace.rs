@@ -2,9 +2,8 @@
 //!
 //! 1. **Observer effect — there is none.** `RunConfig::traced()` must
 //!    leave results, per-rank virtual clocks, elapsed virtual time, and
-//!    statistics bit-identical to the untraced run, on both transport
-//!    backends, for every archetype. Tracing reads the substrate; it
-//!    never steers it.
+//!    statistics bit-identical to the untraced run, for every
+//!    archetype. Tracing reads the substrate; it never steers it.
 //! 2. **Trace determinism.** Same-seed traced runs produce bit-identical
 //!    *logical* event streams (wall-clock timestamps zeroed; they are
 //!    the one legitimately nondeterministic field).
@@ -24,7 +23,7 @@ use parallel_archetypes::farm::apps::GridSweepFarm;
 use parallel_archetypes::farm::{run_farm, FarmConfig};
 use parallel_archetypes::mesh::apps::poisson::{poisson_spmd, sine_problem};
 use parallel_archetypes::mp::{
-    run_spmd_with, Backend, MachineModel, ProcessGrid2, RunConfig, SpmdResult, TraceEvent,
+    run_spmd_with, MachineModel, ProcessGrid2, RunConfig, SpmdResult, TraceEvent,
 };
 use parallel_archetypes::pipeline::{run_pipeline, Pipeline, PipelineConfig, Stage as PipeStage};
 
@@ -69,59 +68,57 @@ fn grid_for(p: usize) -> ProcessGrid2 {
     }
 }
 
-/// On each backend: the traced run must match the untraced run bit for
-/// bit in everything but `wall_us` and the trace itself, and a repeated
-/// traced run must reproduce the identical logical event stream.
+/// The traced run must match the untraced run bit for bit in everything
+/// but `wall_us` and the trace itself, and a repeated traced run must
+/// reproduce the identical logical event stream.
 fn assert_tracing_is_inert<R, F>(label: &str, run: F)
 where
     R: PartialEq + std::fmt::Debug,
     F: Fn(RunConfig) -> SpmdResult<R>,
 {
-    for backend in [Backend::Virtual, Backend::Real] {
-        let base = run(RunConfig::default().on(backend));
-        let traced = run(RunConfig::default().with_tracing().on(backend));
-        assert_eq!(
-            base.results, traced.results,
-            "{label} [{backend:?}]: tracing must not perturb results"
-        );
-        for (rank, (tb, tt)) in base.rank_times.iter().zip(&traced.rank_times).enumerate() {
-            assert!(
-                tb.to_bits() == tt.to_bits(),
-                "{label} [{backend:?}]: rank {rank} clock must be unperturbed ({tb} vs {tt})"
-            );
-        }
-        assert_eq!(
-            base.elapsed_virtual.to_bits(),
-            traced.elapsed_virtual.to_bits(),
-            "{label} [{backend:?}]: elapsed virtual time must be unperturbed"
-        );
-        assert_eq!(
-            base.stats.per_rank, traced.stats.per_rank,
-            "{label} [{backend:?}]: statistics must be unperturbed"
-        );
+    let base = run(RunConfig::default());
+    let traced = run(RunConfig::traced());
+    assert_eq!(
+        base.results, traced.results,
+        "{label}: tracing must not perturb results"
+    );
+    for (rank, (tb, tt)) in base.rank_times.iter().zip(&traced.rank_times).enumerate() {
         assert!(
-            base.trace.is_none(),
-            "{label} [{backend:?}]: untraced runs carry no trace"
+            tb.to_bits() == tt.to_bits(),
+            "{label}: rank {rank} clock must be unperturbed ({tb} vs {tt})"
         );
-        let trace = traced
-            .trace
-            .as_ref()
-            .unwrap_or_else(|| panic!("{label} [{backend:?}]: traced runs carry a trace"));
+    }
+    assert_eq!(
+        base.elapsed_virtual.to_bits(),
+        traced.elapsed_virtual.to_bits(),
+        "{label}: elapsed virtual time must be unperturbed"
+    );
+    assert_eq!(
+        base.stats.per_rank, traced.stats.per_rank,
+        "{label}: statistics must be unperturbed"
+    );
+    assert!(
+        base.trace.is_none(),
+        "{label}: untraced runs carry no trace"
+    );
+    let trace = traced
+        .trace
+        .as_ref()
+        .unwrap_or_else(|| panic!("{label}: traced runs carry a trace"));
 
-        // Same seed, same stream: re-run traced and compare logical
-        // events (wall clocks zeroed — the only nondeterministic field).
-        let again = run(RunConfig::default().with_tracing().on(backend));
-        let trace2 = again.trace.as_ref().expect("traced");
-        assert_eq!(trace.ranks.len(), trace2.ranks.len());
-        for (a, b) in trace.ranks.iter().zip(&trace2.ranks) {
-            assert_eq!(a.dropped, b.dropped, "{label} [{backend:?}]: drop counts");
-            assert_eq!(
-                a.logical_events(),
-                b.logical_events(),
-                "{label} [{backend:?}]: rank {} logical event stream must be reproducible",
-                a.rank
-            );
-        }
+    // Same seed, same stream: re-run traced and compare logical events
+    // (wall clocks zeroed — the only nondeterministic field).
+    let again = run(RunConfig::traced());
+    let trace2 = again.trace.as_ref().expect("traced");
+    assert_eq!(trace.ranks.len(), trace2.ranks.len());
+    for (a, b) in trace.ranks.iter().zip(&trace2.ranks) {
+        assert_eq!(a.dropped, b.dropped, "{label}: drop counts");
+        assert_eq!(
+            a.logical_events(),
+            b.logical_events(),
+            "{label}: rank {} logical event stream must be reproducible",
+            a.rank
+        );
     }
 }
 
@@ -444,20 +441,37 @@ fn chrome_json_structure_is_valid() {
     let mut last_ts_per_track: std::collections::HashMap<(u64, u64), f64> =
         std::collections::HashMap::new();
     for ev in events {
-        let ph = ev.get("ph").and_then(Json::as_str).expect("ph on every event");
-        let pid = ev.get("pid").and_then(Json::as_f64).expect("pid on every event");
-        assert!(pid >= 0.0 && pid < 4.0, "pid is a rank");
+        let ph = ev
+            .get("ph")
+            .and_then(Json::as_str)
+            .expect("ph on every event");
+        let pid = ev
+            .get("pid")
+            .and_then(Json::as_f64)
+            .expect("pid on every event");
+        assert!((0.0..4.0).contains(&pid), "pid is a rank");
         if ph == "M" {
-            ev.get("name").and_then(Json::as_str).expect("metadata name");
+            ev.get("name")
+                .and_then(Json::as_str)
+                .expect("metadata name");
             continue;
         }
-        let ts = ev.get("ts").and_then(Json::as_f64).expect("ts on every event");
-        assert!(ts.is_finite() && ts >= 0.0, "timestamps are finite and nonnegative");
+        let ts = ev
+            .get("ts")
+            .and_then(Json::as_f64)
+            .expect("ts on every event");
+        assert!(
+            ts.is_finite() && ts >= 0.0,
+            "timestamps are finite and nonnegative"
+        );
         let tid = ev.get("tid").and_then(Json::as_f64).expect("tid") as u64;
         ev.get("name").and_then(Json::as_str).expect("name");
         match ph {
             "X" => {
-                let dur = ev.get("dur").and_then(Json::as_f64).expect("complete events have dur");
+                let dur = ev
+                    .get("dur")
+                    .and_then(Json::as_f64)
+                    .expect("complete events have dur");
                 assert!(dur >= 0.0, "durations are nonnegative");
                 // Slices on one track are emitted in start order.
                 let key = (pid as u64, tid);
@@ -488,9 +502,13 @@ fn chrome_json_structure_is_valid() {
     // Every flow arrow is a matched s/f pair that does not run backward
     // in virtual time.
     assert!(!flow_starts.is_empty(), "a 4-rank forecast sends messages");
-    assert_eq!(flow_starts.len(), flow_ends.len(), "every flow start has a finish");
-    flow_starts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    flow_ends.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(
+        flow_starts.len(),
+        flow_ends.len(),
+        "every flow start has a finish"
+    );
+    flow_starts.sort_unstable_by_key(|a| a.0);
+    flow_ends.sort_unstable_by_key(|a| a.0);
     for ((sid, sts), (fid, fts)) in flow_starts.iter().zip(&flow_ends) {
         assert_eq!(sid, fid, "flow ids pair exactly once");
         assert!(fts >= sts, "flow {sid} arrives no earlier than it was sent");
