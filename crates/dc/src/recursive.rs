@@ -274,7 +274,10 @@ where
         });
     }
 
-    ctx.trace_phase(PhaseKind::Recurse.name(), "divide and descend into subgroups");
+    ctx.trace_phase(
+        PhaseKind::Recurse.name(),
+        "divide and descend into subgroups",
+    );
     if let Some(t) = trace {
         t.record(PhaseKind::Recurse, "divide and descend into subgroups");
     }

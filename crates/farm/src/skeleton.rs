@@ -594,7 +594,11 @@ pub fn run_farm_traced<F: Farm>(
     }
 
     // --- Terminate: combine accumulators and statistics. -----------------
-    record(ctx, PhaseKind::Terminate, "quiescence proven; final reduction");
+    record(
+        ctx,
+        PhaseKind::Terminate,
+        "quiescence proven; final reduction",
+    );
     let out = ctx.all_reduce(acc.take().expect("acc"), |a, b| farm.reduce(a, b));
     let global_stats = ctx.all_reduce(stats, FarmStats::combine);
     (out, global_stats)

@@ -390,12 +390,18 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         let start = self.pos;
         while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            && matches!(
+                self.bytes[self.pos],
+                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
+            )
         {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(text.parse().unwrap_or_else(|_| panic!("bad number {text:?}")))
+        Json::Num(
+            text.parse()
+                .unwrap_or_else(|_| panic!("bad number {text:?}")),
+        )
     }
 }
 
@@ -534,14 +540,18 @@ fn critical_path_is_bounded_and_decomposes() {
         out.elapsed_virtual
     );
     assert!(
-        (report.local_vt + report.wait_vt - report.total_vt).abs() <= 1e-6 * report.total_vt.max(1.0),
+        (report.local_vt + report.wait_vt - report.total_vt).abs()
+            <= 1e-6 * report.total_vt.max(1.0),
         "path decomposes into local ({}) + wait ({}) = total ({})",
         report.local_vt,
         report.wait_vt,
         report.total_vt
     );
     assert!(report.end_rank < 4);
-    assert!(!report.top_phases.is_empty(), "phases were recorded on the path's rank");
+    assert!(
+        !report.top_phases.is_empty(),
+        "phases were recorded on the path's rank"
+    );
     // The report renders.
     let text = report.to_string();
     assert!(text.contains("critical path"), "report text: {text}");
@@ -562,10 +572,10 @@ fn service_waves_appear_in_traced_serve_runs() {
             .unwrap();
     }
     let out = svc.serve_spmd(MachineModel::ibm_sp(), RunConfig::traced());
-    assert!(out.results.iter().all(|r| r
-        .outcomes
+    assert!(out
+        .results
         .iter()
-        .all(|o| matches!(o, Ok(Value::F64s(_))))));
+        .all(|r| r.outcomes.iter().all(|o| matches!(o, Ok(Value::F64s(_))))));
     let trace = out.trace.as_ref().expect("traced serve run");
     let wave_starts = trace.ranks[0]
         .events
