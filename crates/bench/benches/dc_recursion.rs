@@ -25,7 +25,6 @@ fn bench_recursion(c: &mut Criterion) {
                     v,
                     &CutoffPolicy::exact_depth(0, 2),
                     ExecutionMode::Sequential,
-                    None,
                 )
             },
             BatchSize::SmallInput,
@@ -40,7 +39,6 @@ fn bench_recursion(c: &mut Criterion) {
                     v,
                     &CutoffPolicy::exact_depth(3, 2),
                     ExecutionMode::Sequential,
-                    None,
                 )
             },
             BatchSize::SmallInput,
@@ -55,7 +53,6 @@ fn bench_recursion(c: &mut Criterion) {
                     v,
                     &CutoffPolicy::exact_depth(3, 2),
                     ExecutionMode::Parallel,
-                    None,
                 )
             },
             BatchSize::SmallInput,

@@ -55,7 +55,7 @@ fn bench_sorts(c: &mut Criterion) {
         let alg = OneDeepMergesort::<i64>::new();
         b.iter_batched(
             || blocks(N, P),
-            |inp| run_shared(&alg, inp, ExecutionMode::Sequential, None),
+            |inp| run_shared(&alg, inp, ExecutionMode::Sequential),
             BatchSize::SmallInput,
         )
     });
@@ -63,7 +63,7 @@ fn bench_sorts(c: &mut Criterion) {
         let alg = OneDeepMergesort::<i64>::new();
         b.iter_batched(
             || blocks(N, P),
-            |inp| run_shared(&alg, inp, ExecutionMode::Parallel, None),
+            |inp| run_shared(&alg, inp, ExecutionMode::Parallel),
             BatchSize::SmallInput,
         )
     });
@@ -71,7 +71,7 @@ fn bench_sorts(c: &mut Criterion) {
         let alg = OneDeepQuicksort::<i64>::new();
         b.iter_batched(
             || blocks(N, P),
-            |inp| run_shared(&alg, inp, ExecutionMode::Parallel, None),
+            |inp| run_shared(&alg, inp, ExecutionMode::Parallel),
             BatchSize::SmallInput,
         )
     });
@@ -100,7 +100,7 @@ fn bench_skyline(c: &mut Criterion) {
             buildings.chunks(N / 8).map(<[Building]>::to_vec).collect();
         b.iter_batched(
             || inputs.clone(),
-            |inp| run_shared(&OneDeepSkyline, inp, ExecutionMode::Parallel, None),
+            |inp| run_shared(&OneDeepSkyline, inp, ExecutionMode::Parallel),
             BatchSize::SmallInput,
         )
     });

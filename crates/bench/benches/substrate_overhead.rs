@@ -17,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use archetype_mp::{run_spmd, run_spmd_ft, run_spmd_unpooled, FaultPlan, MachineModel};
+use archetype_mp::{run_spmd, run_spmd_ft, run_spmd_unpooled, FaultPlan, MachineModel, RunConfig};
 
 fn bench_executor(c: &mut Criterion) {
     let mut g = c.benchmark_group("executor");
@@ -56,7 +56,7 @@ fn bench_latency(c: &mut Criterion) {
     }
     g.bench_function("ping_pong_8b_ft_idle_x100", |b| {
         b.iter(|| {
-            run_spmd_ft(2, model, FaultPlan::new(0), |ctx| {
+            run_spmd_ft(2, model, FaultPlan::new(0), RunConfig::default(), |ctx| {
                 let partner = 1 - ctx.rank();
                 for round in 0..100u64 {
                     if ctx.rank() == 0 {

@@ -34,7 +34,6 @@ fn main() {
                     par: mode,
                     ..ComposeConfig::default()
                 },
-                None,
             )
         })
     };

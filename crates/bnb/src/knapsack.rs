@@ -122,8 +122,7 @@ pub fn knapsack_dp(items: &[(u64, u64)], capacity: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeleton::{solve_sequential, solve_shared, solve_spmd};
-    use archetype_mp::{run_spmd, MachineModel};
+    use crate::skeleton::{solve_sequential, solve_shared};
 
     fn pseudo_random_items(n: usize, seed: u64) -> Vec<(u64, u64)> {
         let mut s = seed;
@@ -172,20 +171,6 @@ mod tests {
         let cap = 150;
         let expected = knapsack_dp(&items, cap) as f64;
         assert_eq!(solve_shared(&Knapsack::new(&items, cap)), expected);
-    }
-
-    #[test]
-    fn spmd_solver_matches_dp_for_many_process_counts() {
-        let items = pseudo_random_items(16, 7);
-        let cap = 100;
-        let expected = knapsack_dp(&items, cap) as f64;
-        for p in [1usize, 2, 4, 6] {
-            let items = items.clone();
-            let out = run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
-                solve_spmd(&Knapsack::new(&items, cap), ctx, 16).0
-            });
-            assert!(out.results.iter().all(|&v| v == expected), "p={p}");
-        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! The branch-and-bound skeleton and its three drivers.
+//! The branch-and-bound skeleton and its shared-memory drivers.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-
-use archetype_mp::{Ctx, Payload};
 
 /// A maximization problem in branch-and-bound form.
 ///
@@ -162,94 +160,9 @@ pub fn solve_shared<B: BranchAndBound>(problem: &B) -> f64 {
     load(&best)
 }
 
-/// Distributed branch-and-bound over the message-passing substrate.
-///
-/// The first `seed_levels` of the tree are expanded redundantly on every
-/// rank; frontier nodes are then taken round-robin by rank. Each round a
-/// rank expands up to `batch` of its best local nodes, then an all-reduce
-/// combines `(incumbent, remaining-frontier-size)` — sharing the bound
-/// *and* detecting termination in one reduction. Every rank returns the
-/// same optimum.
-pub fn solve_spmd<B>(problem: &B, ctx: &mut Ctx, batch: usize) -> (f64, BnbStats)
-where
-    B: BranchAndBound,
-    B::Node: Payload,
-{
-    let p = ctx.nprocs();
-    let me = ctx.rank();
-
-    // Seed: expand breadth-first (deterministically) until the frontier
-    // can feed every rank, then deal nodes round-robin.
-    let mut seed = vec![problem.root()];
-    let mut best = f64::NEG_INFINITY;
-    let mut stats = BnbStats::default();
-    while !seed.is_empty() && seed.len() < 4 * p {
-        let mut next = Vec::new();
-        for node in seed.drain(..) {
-            match problem.value(&node) {
-                Some(v) => best = best.max(v),
-                None => next.extend(problem.branch(&node)),
-            }
-        }
-        seed = next;
-    }
-    ctx.charge_items(seed.len(), 50.0);
-
-    let mut heap: BinaryHeap<Prioritized<B::Node>> = seed
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| i % p == me)
-        .map(|(_, node)| Prioritized {
-            bound: problem.bound(&node),
-            node,
-        })
-        .collect();
-
-    loop {
-        // Expand a batch of the best local nodes.
-        let mut expanded_this_round = 0usize;
-        while expanded_this_round < batch {
-            let Some(Prioritized { bound, node }) = heap.pop() else {
-                break;
-            };
-            if bound <= best {
-                stats.pruned += 1;
-                continue; // pruning is free; keep draining
-            }
-            if let Some(v) = problem.value(&node) {
-                best = best.max(v);
-                continue;
-            }
-            stats.expanded += 1;
-            expanded_this_round += 1;
-            for child in problem.branch(&node) {
-                let b = problem.bound(&child);
-                if b > best {
-                    heap.push(Prioritized {
-                        bound: b,
-                        node: child,
-                    });
-                } else {
-                    stats.pruned += 1;
-                }
-            }
-        }
-        ctx.charge_items(expanded_this_round.max(1), 200.0);
-
-        // Share the incumbent and detect termination in one reduction.
-        let useful = heap.iter().filter(|pr| pr.bound > best).count() as f64;
-        let (gbest, remaining) = ctx.all_reduce((best, useful), |a, b| (a.0.max(b.0), a.1 + b.1));
-        best = gbest;
-        if remaining == 0.0 {
-            return (best, stats);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archetype_mp::{run_spmd, MachineModel};
 
     /// A tiny explicit tree for exercising the skeleton: maximize the sum
     /// of digits chosen at each of `depth` levels from {0, 1, 2}, with the
@@ -295,16 +208,6 @@ mod tests {
         let p = DigitTree { depth: 7 };
         let (seq, _) = solve_sequential(&p);
         assert_eq!(solve_shared(&p), seq);
-    }
-
-    #[test]
-    fn spmd_agrees_for_many_process_counts() {
-        for procs in [1usize, 2, 3, 5, 8] {
-            let out = run_spmd(procs, MachineModel::ibm_sp(), |ctx| {
-                solve_spmd(&DigitTree { depth: 6 }, ctx, 8).0
-            });
-            assert!(out.results.iter().all(|&v| v == 12.0), "procs={procs}");
-        }
     }
 
     #[test]

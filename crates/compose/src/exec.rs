@@ -1,4 +1,4 @@
-//! The plan executor: groups, handoffs, traces, statistics.
+//! The plan executor: groups, handoffs, phase stamps, statistics.
 //!
 //! [`run_plan`] walks a [`Plan`] collectively on the current process
 //! group, maintaining one invariant throughout: **the plan value on an
@@ -20,12 +20,18 @@
 //!   root ships branch inputs to the branch roots (bit-59
 //!   [`archetype_mp::tags::compose_tag`] namespace), branches recurse
 //!   concurrently inside disjoint scopes, and branch roots ship outputs
-//!   (with their trace slices) back to the root, which assembles the
-//!   output tuple — in branch order, so results, clocks, and the
-//!   composite trace are deterministic. Groups too small to host every
-//!   branch (`p < k`), or a [`ParMode::Serialize`] config, run the
-//!   branches one after another on the whole group instead — same
+//!   back to the root, which assembles the output tuple — in branch
+//!   order, so results and clocks are deterministic. Groups too small to
+//!   host every branch (`p < k`), or a [`ParMode::Serialize`] config, run
+//!   the branches one after another on the whole group instead — same
 //!   results, same statistics, different schedule.
+//!
+//! In a traced run, scope roots stamp the executor's own phases through
+//! [`Ctx::trace_phase`] — `Communication` for input replication, `Par`
+//! fan-out and output gather, and a `Detect`/`Recover` pair per lost
+//! atom attempt — next to the phases the atoms' skeletons stamp. World
+//! rank 0's stream is then a sentence of [`Plan::grammar`]. Untraced
+//! runs build no labels and ship no trace bytes.
 //!
 //! Statistics ([`ComposeStats`]) count *logical* structure — atoms run,
 //! stages, branches, handoffs and their bytes — so they are identical
@@ -35,7 +41,7 @@
 
 use std::fmt;
 
-use archetype_core::{Phase, PhaseKind, PhaseTrace};
+use archetype_core::PhaseKind;
 use archetype_mp::tags::{compose_tag, ComposeTag};
 use archetype_mp::{impl_fixed_size, Ctx, FaultPlan, Payload};
 
@@ -180,27 +186,6 @@ impl ComposeStats {
     }
 }
 
-/// A branch's trace slice travelling back to the parent root.
-struct TraceBatch(Vec<Phase>);
-
-impl Payload for TraceBatch {
-    fn size_bytes(&self) -> usize {
-        self.0.iter().map(|p| 1 + p.label.len()).sum()
-    }
-}
-
-/// A branch output and its trace slice, shipped root-to-root.
-struct Handoff {
-    value: Value,
-    trace: TraceBatch,
-}
-
-impl Payload for Handoff {
-    fn size_bytes(&self) -> usize {
-        self.value.size_bytes() + self.trace.size_bytes()
-    }
-}
-
 pub(crate) fn mix(a: u64, b: u64) -> u64 {
     let mut h = 0x9e3779b97f4a7c15u64 ^ a;
     h = h.wrapping_mul(0x100000001b3);
@@ -235,8 +220,7 @@ struct Walker {
 
 impl Walker {
     /// Execute one plan node on the current scope. `input` is `Some`
-    /// exactly on the scope's rank 0; likewise the returned value and
-    /// trace slice.
+    /// exactly on the scope's rank 0; likewise the returned value.
     fn node(
         &mut self,
         ctx: &mut Ctx,
@@ -245,7 +229,7 @@ impl Walker {
         node_id: u64,
         salt: u64,
         depth: u64,
-    ) -> (Option<Value>, Vec<Phase>) {
+    ) -> Option<Value> {
         let root = ctx.rank() == 0;
         if root {
             self.stats.plan_nodes += 1;
@@ -271,7 +255,6 @@ impl Walker {
                 );
                 let members: Vec<usize> = (0..ctx.nprocs()).collect();
                 let mut input = input;
-                let mut phases = Vec::new();
                 for attempt in 0..=failed {
                     let last = attempt == failed;
                     // The edge value is the checkpoint: the root re-feeds
@@ -287,49 +270,37 @@ impl Walker {
                         mix(mix(salt, node_id), u64::from(attempt))
                     };
                     let stats = &mut self.stats;
-                    let (out, ph) = ctx.scoped(&members, scope_salt, |ctx| {
+                    let out = ctx.scoped(&members, scope_salt, |ctx| {
                         let root = ctx.rank() == 0;
-                        let mut phases = Vec::new();
-                        if root && ctx.nprocs() > 1 {
-                            phases.push(Phase::new(
-                                PhaseKind::Communication,
-                                format!("replicate input of {}", job.name()),
-                            ));
+                        if root && ctx.nprocs() > 1 && ctx.is_traced() {
+                            let label = format!("input of {}", job.name());
+                            ctx.trace_phase(PhaseKind::Communication.name(), &label);
                         }
                         let v = ctx.broadcast(0, checkpoint);
-                        let local = if root { Some(PhaseTrace::new()) } else { None };
-                        let out = job.run(ctx, v, local.as_ref());
-                        if root {
-                            if last {
-                                stats.atoms += 1;
-                            }
-                            phases.extend(local.expect("root trace").phases());
-                            (Some(out), phases)
-                        } else {
-                            (None, Vec::new())
+                        let out = job.run(ctx, v);
+                        if root && last {
+                            stats.atoms += 1;
                         }
+                        root.then_some(out)
                     });
                     if last {
-                        phases.extend(ph);
-                        return (out, phases);
+                        return out;
                     }
                     // The attempt ran to completion but its result is
-                    // lost (and its trace with it): charge the bounded
-                    // exponential backoff and replay from the checkpoint.
+                    // lost (its phases stay in the trace, ahead of the
+                    // Detect/Recover pair): charge the bounded exponential
+                    // backoff and replay from the checkpoint.
                     drop(out);
                     ctx.charge_seconds(
                         self.config.retry.backoff_secs * f64::from(1u32 << attempt.min(20)),
                     );
                     if ctx.rank() == 0 {
                         self.stats.retries += 1;
-                        phases.push(Phase::new(
-                            PhaseKind::Detect,
-                            format!("atom {} lost attempt {attempt}", job.name()),
-                        ));
-                        phases.push(Phase::new(
-                            PhaseKind::Recover,
-                            format!("replaying {} from its input checkpoint", job.name()),
-                        ));
+                        if ctx.is_traced() {
+                            let label = format!("{} lost attempt {attempt}", job.name());
+                            ctx.trace_phase(PhaseKind::Detect.name(), &label);
+                            ctx.trace_phase(PhaseKind::Recover.name(), "replay from checkpoint");
+                        }
                     }
                 }
                 unreachable!("the final attempt returns from the loop")
@@ -339,15 +310,12 @@ impl Walker {
                     self.stats.seq_stages += stages.len() as u64;
                 }
                 let mut v = input;
-                let mut phases = Vec::new();
                 let mut child = node_id + 1;
                 for stage in stages {
-                    let (nv, ph) = self.node(ctx, stage, v, child, salt, depth + 1);
+                    v = self.node(ctx, stage, v, child, salt, depth + 1);
                     child += stage.nodes();
-                    v = nv;
-                    phases.extend(ph);
                 }
-                (v, phases)
+                v
             }
             PlanNode::Par(branches) => {
                 let refs: Vec<&Plan> = branches.iter().collect();
@@ -380,7 +348,7 @@ impl Walker {
         salt: u64,
         depth: u64,
         is_replicate: bool,
-    ) -> (Option<Value>, Vec<Phase>) {
+    ) -> Option<Value> {
         let k = branches.len();
         let p = ctx.nprocs();
         let root = ctx.rank() == 0;
@@ -396,7 +364,6 @@ impl Walker {
         let parts_bytes: u64 = parts.iter().flatten().map(|v| v.size_bytes() as u64).sum();
 
         let parallel = self.config.par == ParMode::Allocate && k > 1 && p >= k;
-        let mut phases = Vec::new();
         let mut outs: Option<Vec<Value>> = if root { Some(Vec::new()) } else { None };
 
         if !parallel {
@@ -405,7 +372,7 @@ impl Walker {
                 let part = parts
                     .as_mut()
                     .map(|ps| std::mem::replace(&mut ps[j], Value::Unit));
-                let (ov, ph) = self.node(
+                let ov = self.node(
                     ctx,
                     branch,
                     part,
@@ -416,7 +383,6 @@ impl Walker {
                 if let Some(outs) = outs.as_mut() {
                     outs.push(ov.expect("the scope root holds every branch output"));
                 }
-                phases.extend(ph);
             }
         } else {
             // Price the branches and share the verdict, so every rank
@@ -429,10 +395,7 @@ impl Walker {
                     .collect()
             });
             if root {
-                phases.push(Phase::new(
-                    PhaseKind::Communication,
-                    "par fan-out: cost broadcast + branch inputs",
-                ));
+                ctx.trace_phase(PhaseKind::Communication.name(), "par fan-out");
             }
             let costs: Vec<f64> = ctx.broadcast(0, costs);
             let sizes = allocate(&costs, p);
@@ -468,7 +431,7 @@ impl Walker {
             let branch = branches[my_branch];
             let base = bases[my_branch];
             let walker = &mut *self;
-            let (ov, ph) = ctx.scoped(&members, mix(mix(salt, node_id), my_branch as u64), |ctx| {
+            let ov = ctx.scoped(&members, mix(mix(salt, node_id), my_branch as u64), |ctx| {
                 walker.node(
                     ctx,
                     branch,
@@ -479,29 +442,17 @@ impl Walker {
                 )
             });
 
-            // Branch outputs (with trace slices) gather back to the root.
+            // Branch outputs gather back to the root.
             if me == starts[my_branch] && my_branch != 0 {
-                ctx.send(
-                    0,
-                    compose_tag(ComposeTag::Output, node_id),
-                    Handoff {
-                        value: ov.expect("a branch root holds its output"),
-                        trace: TraceBatch(ph),
-                    },
-                );
+                let value = ov.expect("a branch root holds its output");
+                ctx.send(0, compose_tag(ComposeTag::Output, node_id), value);
             } else if root {
                 let outs_vec = outs.as_mut().expect("root collects");
                 outs_vec.push(ov.expect("branch 0's root is the section root"));
-                phases.extend(ph);
                 for &start in starts.iter().skip(1) {
-                    let h: Handoff = ctx.recv(start, compose_tag(ComposeTag::Output, node_id));
-                    outs_vec.push(h.value);
-                    phases.extend(h.trace.0);
+                    outs_vec.push(ctx.recv(start, compose_tag(ComposeTag::Output, node_id)));
                 }
-                phases.push(Phase::new(
-                    PhaseKind::Communication,
-                    "par gather: branch outputs",
-                ));
+                ctx.trace_phase(PhaseKind::Communication.name(), "par gather");
             }
         }
 
@@ -515,7 +466,7 @@ impl Walker {
             self.stats.handoffs += 2 * k as u64;
             self.stats.handoff_bytes += parts_bytes + out_bytes;
         }
-        (outs.map(Value::Tuple), phases)
+        outs.map(Value::Tuple)
     }
 }
 
@@ -562,14 +513,14 @@ fn doomed_atom(plan: &Plan, fp: &FaultPlan, retry: RetryPolicy, node_id: u64) ->
 /// drivers; composes with [`Ctx::scoped`], so a plan can itself appear
 /// inside a larger scoped computation.
 pub fn run_plan(ctx: &mut Ctx, plan: &Plan, input: Value) -> (Value, ComposeStats) {
-    run_plan_with(ctx, plan, input, ComposeConfig::default(), None)
+    run_plan_with(ctx, plan, input, ComposeConfig::default())
 }
 
 /// [`run_plan`] that surfaces retry exhaustion as a typed
 /// [`PlanError`] instead of panicking. Without a fault plan in the
 /// context it cannot fail.
 pub fn try_run_plan(ctx: &mut Ctx, plan: &Plan, input: Value) -> PlanResult {
-    try_run_plan_with(ctx, plan, input, ComposeConfig::default(), None)
+    try_run_plan_with(ctx, plan, input, ComposeConfig::default())
 }
 
 /// What a fallible plan run returns on every rank.
@@ -586,7 +537,6 @@ pub fn try_run_plan_with(
     plan: &Plan,
     input: Value,
     config: ComposeConfig,
-    trace: Option<&PhaseTrace>,
 ) -> PlanResult {
     if let Some(err) = ctx
         .fault_plan()
@@ -599,34 +549,13 @@ pub fn try_run_plan_with(
         config,
         stats: ComposeStats::default(),
     };
-    let (out, phases) = walker.node(ctx, plan, root.then_some(input), 0, 0, 0);
+    let out = walker.node(ctx, plan, root.then_some(input), 0, 0, 0);
     let out = ctx.broadcast(0, out);
     let stats = ctx.all_reduce(walker.stats, ComposeStats::combine);
-    if root {
-        if let Some(t) = trace {
-            for ph in phases {
-                t.record(ph.kind, ph.label);
-            }
-        }
-    }
     Ok((out, stats))
 }
 
-/// [`run_plan`] with phase tracing: rank 0 records the canonical
-/// composite trace — every atom's phase sequence in plan order, with the
-/// executor's own `Communication` phases for input replication, `Par`
-/// fan-out, and output gather — which [`Plan::grammar`] accepts by
-/// construction.
-pub fn run_plan_traced(
-    ctx: &mut Ctx,
-    plan: &Plan,
-    input: Value,
-    trace: Option<&PhaseTrace>,
-) -> (Value, ComposeStats) {
-    run_plan_with(ctx, plan, input, ComposeConfig::default(), trace)
-}
-
-/// [`run_plan_traced`] with explicit scheduling configuration.
+/// [`run_plan`] with explicit scheduling configuration.
 ///
 /// # Panics
 /// Panics (identically on every rank, before any communication) if the
@@ -637,9 +566,8 @@ pub fn run_plan_with(
     plan: &Plan,
     input: Value,
     config: ComposeConfig,
-    trace: Option<&PhaseTrace>,
 ) -> (Value, ComposeStats) {
-    match try_run_plan_with(ctx, plan, input, config, trace) {
+    match try_run_plan_with(ctx, plan, input, config) {
         Ok(r) => r,
         Err(e) => panic!("{e}"),
     }
@@ -650,8 +578,8 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    use archetype_core::{ArchetypeInfo, PhaseKind, PhaseTrace};
-    use archetype_mp::{run_spmd, run_spmd_ft, Ctx, FaultPlan, MachineModel};
+    use archetype_core::{ArchetypeInfo, PhaseKind};
+    use archetype_mp::{run_spmd, run_spmd_ft, Ctx, FaultPlan, MachineModel, RunConfig};
 
     use super::*;
     use crate::job::ArchetypeJob;
@@ -659,7 +587,7 @@ mod tests {
     use crate::value::Value;
 
     /// A deterministic atom that counts its executions — so tests can see
-    /// replays — and emits a trace its declared grammar accepts.
+    /// replays — and stamps phases its declared grammar accepts.
     struct Scale {
         factor: f64,
         runs: Arc<AtomicU64>,
@@ -681,14 +609,12 @@ mod tests {
             1.0
         }
 
-        fn run(&self, ctx: &mut Ctx, input: Value, trace: Option<&PhaseTrace>) -> Value {
+        fn run(&self, ctx: &mut Ctx, input: Value) -> Value {
             if ctx.rank() == 0 {
                 self.runs.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some(t) = trace {
-                t.record(PhaseKind::Split, "scale split");
-                t.record(PhaseKind::Solve, "scale solve");
-                t.record(PhaseKind::Merge, "scale merge");
+            for kind in [PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge] {
+                ctx.trace_phase(kind.name(), "scale");
             }
             match input {
                 Value::F64(x) => Value::F64(x * self.factor + 1.0),
@@ -721,7 +647,7 @@ mod tests {
         // Node ids: 0 = the Seq, 1 and 2 = the atoms. Lose the first
         // atom's first two attempts.
         let plan = FaultPlan::new(9).fail_atom(1, 2);
-        let faulty = run_spmd_ft(3, MachineModel::ibm_sp(), plan, {
+        let faulty = run_spmd_ft(3, MachineModel::ibm_sp(), plan, RunConfig::default(), {
             let runs = runs.clone();
             move |ctx| run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
         });
@@ -747,7 +673,7 @@ mod tests {
         let runs = Arc::new(AtomicU64::new(0));
         // Default budget is 3 retries; 5 scheduled losses doom node 2.
         let plan = FaultPlan::new(9).fail_atom(2, 5);
-        let out = run_spmd_ft(3, MachineModel::ibm_sp(), plan, {
+        let out = run_spmd_ft(3, MachineModel::ibm_sp(), plan, RunConfig::default(), {
             let runs = runs.clone();
             move |ctx| try_run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
         });
@@ -775,7 +701,7 @@ mod tests {
     fn run_plan_panics_on_exhaustion_with_the_typed_message() {
         let runs = Arc::new(AtomicU64::new(0));
         let plan = FaultPlan::new(9).fail_atom(1, 9);
-        let out = run_spmd_ft(2, MachineModel::ibm_sp(), plan, {
+        let out = run_spmd_ft(2, MachineModel::ibm_sp(), plan, RunConfig::default(), {
             let runs = runs.clone();
             move |ctx| run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
         });
@@ -789,25 +715,25 @@ mod tests {
     fn retried_traces_conform_to_the_derived_grammar() {
         let runs = Arc::new(AtomicU64::new(0));
         let plan = FaultPlan::new(9).fail_atom(1, 1).fail_atom(2, 3);
-        let trace = PhaseTrace::new();
         let shape = two_stage(&runs);
-        let grammar = shape.grammar();
-        run_spmd_ft(3, MachineModel::ibm_sp(), plan, move |ctx| {
-            let t = (ctx.rank() == 0).then_some(&trace);
-            let (_, stats) = run_plan_traced(ctx, &shape, Value::F64(2.0), t);
-            if let Some(t) = t {
-                let kinds = t.kinds();
-                assert!(
-                    kinds.contains(&PhaseKind::Detect) && kinds.contains(&PhaseKind::Recover),
-                    "retries must surface in the trace: {kinds:?}"
-                );
-                assert!(
-                    grammar.matches(&kinds),
-                    "{kinds:?} rejected by the derived grammar"
-                );
-            }
-            stats.retries
-        });
+        let out = run_spmd_ft(
+            3,
+            MachineModel::ibm_sp(),
+            plan,
+            RunConfig::traced(),
+            |ctx| run_plan(ctx, &shape, Value::F64(2.0)).1.retries,
+        );
+        assert!(out.all_ok());
+        let kinds: Vec<PhaseKind> = out.traces[0]
+            .phases()
+            .filter_map(PhaseKind::from_name)
+            .collect();
+        let detected = kinds.iter().filter(|&&k| k == PhaseKind::Detect).count();
+        assert_eq!(detected, 4, "one Detect per lost attempt: {kinds:?}");
+        assert!(
+            shape.grammar().matches(&kinds),
+            "{kinds:?} rejected by the derived grammar"
+        );
     }
 
     #[test]
@@ -817,10 +743,16 @@ mod tests {
             let runs = runs.clone();
             move |ctx| run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
         });
-        let inert = run_spmd_ft(3, MachineModel::ibm_sp(), FaultPlan::new(9), {
-            let runs = runs.clone();
-            move |ctx| run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
-        });
+        let inert = run_spmd_ft(
+            3,
+            MachineModel::ibm_sp(),
+            FaultPlan::new(9),
+            RunConfig::default(),
+            {
+                let runs = runs.clone();
+                move |ctx| run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
+            },
+        );
         let (clean_value, clean_stats) = &clean.results[0];
         for r in &inert.results {
             let (value, stats) = r.as_ref().expect("inert plan");

@@ -25,17 +25,17 @@
 //! branches.
 
 use archetype_core::archetype::{MESH_SPECTRAL, PIPELINE, RECURSIVE_DC, TASK_FARM};
-use archetype_core::{ArchetypeInfo, PhaseTrace};
+use archetype_core::ArchetypeInfo;
 use archetype_dc::perfmodel::mergesort_work_flops;
 use archetype_dc::{run_spmd_recursive, CutoffPolicy, RecursiveMergesort};
 use archetype_farm::apps::GridSweepFarm;
-use archetype_farm::{run_farm_traced, FarmConfig};
+use archetype_farm::{run_farm, FarmConfig};
 use archetype_mesh::apps::poisson::{
-    poisson_estimate_flops, poisson_spmd_traced, sine_problem, PoissonSpec,
+    poisson_estimate_flops, poisson_spmd, sine_problem, PoissonSpec,
 };
 use archetype_mp::{Ctx, ProcessGrid2};
 use archetype_pipeline::apps::ChunkedStream;
-use archetype_pipeline::{run_pipeline_traced, PipelineConfig};
+use archetype_pipeline::{run_pipeline, PipelineConfig};
 
 use crate::exec::mix;
 use crate::job::ArchetypeJob;
@@ -69,8 +69,8 @@ impl ArchetypeJob for SweepJob {
         self.farm.total_flops()
     }
 
-    fn run(&self, ctx: &mut Ctx, _input: (), trace: Option<&PhaseTrace>) -> Vec<f64> {
-        let (scores, _stats) = run_farm_traced(&self.farm, ctx, FarmConfig::default(), trace);
+    fn run(&self, ctx: &mut Ctx, _input: ()) -> Vec<f64> {
+        let (scores, _stats) = run_farm(&self.farm, ctx, FarmConfig::default());
         scores.into_iter().map(|(_, s)| s).collect()
     }
 
@@ -116,9 +116,9 @@ impl ArchetypeJob for PoissonJob {
         poisson_estimate_flops(&self.spec)
     }
 
-    fn run(&self, ctx: &mut Ctx, _input: (), trace: Option<&PhaseTrace>) -> Vec<f64> {
+    fn run(&self, ctx: &mut Ctx, _input: ()) -> Vec<f64> {
         let grid = Self::grid_for(ctx.nprocs());
-        let result = poisson_spmd_traced(ctx, &self.spec, grid, trace);
+        let result = poisson_spmd(ctx, &self.spec, grid);
         result.grid.unwrap_or_default() // the solution lands on rank 0
     }
 
@@ -164,12 +164,7 @@ impl ArchetypeJob for SortJob {
         mergesort_work_flops(input.0.len() + input.1.len(), self.policy.min_items)
     }
 
-    fn run(
-        &self,
-        ctx: &mut Ctx,
-        (scores, field): (Vec<f64>, Vec<f64>),
-        trace: Option<&PhaseTrace>,
-    ) -> Vec<i64> {
+    fn run(&self, ctx: &mut Ctx, (scores, field): (Vec<f64>, Vec<f64>)) -> Vec<i64> {
         // Only the root's keys enter the recursion; spare the other
         // ranks the quantization pass over their (discarded) copies.
         let local = (ctx.rank() == 0).then(|| {
@@ -184,7 +179,7 @@ impl ArchetypeJob for SortJob {
             ctx,
             local,
             &self.policy,
-            trace,
+            None,
         )
         .unwrap_or_default() // the sorted keys land on rank 0
     }
@@ -238,10 +233,10 @@ impl ArchetypeJob for TopKJob {
         input.len() as f64 * ChunkedStream::flops_per_sample(self.k)
     }
 
-    fn run(&self, ctx: &mut Ctx, input: Vec<i64>, trace: Option<&PhaseTrace>) -> Vec<f64> {
+    fn run(&self, ctx: &mut Ctx, input: Vec<i64>) -> Vec<f64> {
         let values: Vec<f64> = input.iter().map(|&q| q as f64 / SORT_SCALE).collect();
         let stream = ChunkedStream::new(values, self.chunk_len, self.k, self.buckets, self.cutoff);
-        let (digest, _stats) = run_pipeline_traced(&stream, ctx, PipelineConfig::default(), trace);
+        let (digest, _stats) = run_pipeline(&stream, ctx, PipelineConfig::default());
         let mut out = vec![
             digest.count as f64,
             digest.mean(),
@@ -360,7 +355,6 @@ mod tests {
                         par: mode,
                         ..ComposeConfig::default()
                     },
-                    None,
                 )
             })
         };

@@ -9,7 +9,7 @@
 //! branches with. The executor erases the types at plan edges
 //! ([`crate::Value`]) and recovers them at each job boundary.
 
-use archetype_core::{ArchetypeInfo, PhaseTrace};
+use archetype_core::ArchetypeInfo;
 use archetype_mp::Ctx;
 
 use crate::value::{ComposeData, Value};
@@ -25,9 +25,10 @@ use crate::value::{ComposeData, Value};
 /// group's rank 0; other ranks may return any placeholder (conventionally
 /// `Default::default()`).
 ///
-/// `trace` is `Some` only on the group's rank 0; jobs forward it to their
-/// skeleton's `*_traced` driver so the atom's phase trace lands in the
-/// composite trace in plan order.
+/// The skeleton a job runs stamps its phases into a traced run
+/// (`Ctx::trace_phase`); the group's rank 0 must record a sentence of
+/// [`ArchetypeJob::info`]'s grammar, because that stream is what the
+/// plan's derived grammar ([`crate::Plan::grammar`]) checks.
 pub trait ArchetypeJob: Send + Sync {
     /// Typed stage input, recovered from the plan edge's [`Value`].
     type In: ComposeData;
@@ -49,7 +50,7 @@ pub trait ArchetypeJob: Send + Sync {
     fn estimate_flops(&self, input: &Self::In) -> f64;
 
     /// Execute the archetype on the current (already scoped) group.
-    fn run(&self, ctx: &mut Ctx, input: Self::In, trace: Option<&PhaseTrace>) -> Self::Out;
+    fn run(&self, ctx: &mut Ctx, input: Self::In) -> Self::Out;
 
     /// Hash of the job's *configuration* — everything beyond its name
     /// that steers what it computes (problem sizes, policies, scale
@@ -68,7 +69,7 @@ pub(crate) trait DynJob: Send + Sync {
     fn info(&self) -> &'static ArchetypeInfo;
     fn estimate_flops(&self, input: &Value) -> f64;
     fn try_estimate_flops(&self, input: &Value) -> Option<f64>;
-    fn run(&self, ctx: &mut Ctx, input: Value, trace: Option<&PhaseTrace>) -> Value;
+    fn run(&self, ctx: &mut Ctx, input: Value) -> Value;
     fn fingerprint(&self) -> u64;
 }
 
@@ -97,10 +98,8 @@ impl<J: ArchetypeJob> DynJob for JobAdapter<J> {
         J::In::accepts(input).then(|| self.estimate_flops(input))
     }
 
-    fn run(&self, ctx: &mut Ctx, input: Value, trace: Option<&PhaseTrace>) -> Value {
-        self.0
-            .run(ctx, J::In::from_value(input), trace)
-            .into_value()
+    fn run(&self, ctx: &mut Ctx, input: Value) -> Value {
+        self.0.run(ctx, J::In::from_value(input)).into_value()
     }
 
     fn fingerprint(&self) -> u64 {

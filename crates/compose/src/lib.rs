@@ -59,8 +59,8 @@ mod value;
 
 pub use alloc::allocate;
 pub use exec::{
-    run_plan, run_plan_traced, run_plan_with, try_run_plan, try_run_plan_with, ComposeConfig,
-    ComposeStats, ParMode, PlanError, PlanResult, RetryPolicy,
+    run_plan, run_plan_with, try_run_plan, try_run_plan_with, ComposeConfig, ComposeStats, ParMode,
+    PlanError, PlanResult, RetryPolicy,
 };
 pub use forecast::{
     forecast_input, forecast_plan, ForecastConfig, PoissonJob, SortJob, SweepJob, TopKJob,

@@ -16,10 +16,9 @@
 //!
 //! Because `Seq` chains `Par` outputs into later stages' inputs, any DAG
 //! of stages with fan-out/fan-in expressible as tuples can be written as
-//! a plan. The derived composite grammar ([`Plan::grammar`]) is built
-//! from the members' static archetype grammars by sequence composition —
-//! with [`Plan::grammar_interleaved`] as the shuffle-closed variant for
-//! traces merged by timestamp rather than in canonical branch order.
+//! a plan. The derived grammar ([`Plan::grammar`]) of world rank 0's
+//! phase stream is built from the members' static archetype grammars by
+//! sequence composition.
 
 use std::sync::Arc;
 
@@ -229,53 +228,50 @@ impl Plan {
         model.compute_time(self.estimate_flops(input))
     }
 
-    /// The derived composite grammar of the **canonical** composite
-    /// trace [`crate::run_plan_traced`] emits: members' grammars in plan
-    /// order — `Seq` stages concatenate, `Par`/`Replicate` branch traces
-    /// are flattened in branch order between optional
-    /// [`PhaseKind::Communication`] brackets (the cost broadcast /
-    /// fan-out and the output gather), and every atom's grammar is
-    /// preceded by any number of `Detect`/`Recover` retry pairs (lost
-    /// attempts under fault injection) and an optional `Communication`
-    /// (its input replication).
+    /// The derived grammar of **world rank 0's** phase stream in a traced
+    /// run of this plan, built from the members' archetype grammars.
+    ///
+    /// Rank 0 is the root of every scope on its path, so it stamps the
+    /// executor's own phases and runs:
+    ///
+    /// - every stage of a `Seq`, whose grammars concatenate;
+    /// - branch 0 of a `Par`/`Replicate` whose branches run on disjoint
+    ///   subgroups, between the fan-out and gather `Communication`
+    ///   phases, or every branch in order when they are serialized — so a
+    ///   section is `comm? m0 (m1 … mk)? comm?`;
+    /// - each atom's archetype grammar after an optional `Communication`
+    ///   (its input replication), preceded by one `comm? m Detect Recover`
+    ///   group per attempt lost to fault injection (a lost attempt's
+    ///   phases stay in the stream, ahead of its `Detect`/`Recover`).
     pub fn grammar(&self) -> PatternExpr {
-        self.grammar_with(PatternExpr::seq)
-    }
-
-    /// The shuffle-closed variant: `Par`/`Replicate` members compose by
-    /// interleaving instead of branch-order concatenation, accepting any
-    /// timestamp-merge of concurrently emitted branch traces (the
-    /// canonical trace is one such shuffle, so everything
-    /// [`Plan::grammar`] accepts, this accepts too).
-    pub fn grammar_interleaved(&self) -> PatternExpr {
-        self.grammar_with(PatternExpr::interleave)
-    }
-
-    fn grammar_with(&self, par_compose: fn(Vec<PatternExpr>) -> PatternExpr) -> PatternExpr {
         let comm = || PatternExpr::opt(PatternExpr::Kind(PhaseKind::Communication));
-        match &self.node {
-            // A lost attempt leaves one Detect/Recover pair in the trace
-            // (its own phases are lost with its result), so an atom's
-            // element admits any number of retry pairs up front.
-            PlanNode::Atom(job) => PatternExpr::seq(vec![
-                PatternExpr::Star(Box::new(PatternExpr::seq(vec![
-                    PatternExpr::Kind(PhaseKind::Detect),
-                    PatternExpr::Kind(PhaseKind::Recover),
-                ]))),
+        let section = |branches: Vec<PatternExpr>| {
+            let mut branches = branches.into_iter();
+            let first = branches.next().expect("a section has at least one branch");
+            PatternExpr::seq(vec![
                 comm(),
-                PatternExpr::from_static(&job.info().grammar),
-            ]),
-            PlanNode::Seq(xs) => {
-                PatternExpr::seq(xs.iter().map(|s| s.grammar_with(par_compose)).collect())
+                first,
+                PatternExpr::opt(PatternExpr::seq(branches.collect())),
+                comm(),
+            ])
+        };
+        match &self.node {
+            PlanNode::Atom(job) => {
+                let member = || PatternExpr::from_static(&job.info().grammar);
+                PatternExpr::seq(vec![
+                    PatternExpr::Star(Box::new(PatternExpr::seq(vec![
+                        comm(),
+                        member(),
+                        PatternExpr::Kind(PhaseKind::Detect),
+                        PatternExpr::Kind(PhaseKind::Recover),
+                    ]))),
+                    comm(),
+                    member(),
+                ])
             }
-            PlanNode::Par(xs) => {
-                let members = xs.iter().map(|b| b.grammar_with(par_compose)).collect();
-                PatternExpr::seq(vec![comm(), par_compose(members), comm()])
-            }
-            PlanNode::Replicate(n, inner) => {
-                let members = (0..*n).map(|_| inner.grammar_with(par_compose)).collect();
-                PatternExpr::seq(vec![comm(), par_compose(members), comm()])
-            }
+            PlanNode::Seq(xs) => PatternExpr::seq(xs.iter().map(Plan::grammar).collect()),
+            PlanNode::Par(xs) => section(xs.iter().map(Plan::grammar).collect()),
+            PlanNode::Replicate(n, inner) => section(vec![inner.grammar(); *n]),
         }
     }
 

@@ -637,21 +637,23 @@ impl PlanService {
         }
     }
 
-    /// Serve the queued batch under a deterministic [`FaultPlan`]. Injected
-    /// atom exhaustion surfaces *inside* the report as per-submission
-    /// [`PlanError`]s; an injected rank crash fails the whole batch with
+    /// Serve the queued batch under a deterministic [`FaultPlan`], with
+    /// `run` passed through to [`run_spmd_ft`]. Injected atom exhaustion
+    /// surfaces *inside* the report as per-submission [`PlanError`]s; an
+    /// injected rank crash fails the whole batch with
     /// [`SpmdError::Ranks`] (the drained submissions are dropped).
     pub fn serve_ft(
         &mut self,
         model: MachineModel,
         fault: FaultPlan,
+        run: RunConfig,
     ) -> Result<ServeOutcome, SpmdError> {
         let rejected = std::mem::take(&mut self.rejected);
         let waves = self.pack();
         self.record_schedule_metrics(&waves);
         let subs = Arc::new(std::mem::take(&mut self.queue));
         let body = serve_body(Arc::clone(&subs), Arc::new(waves), self.config);
-        let ft = run_spmd_ft(self.nprocs, model, fault, body);
+        let ft = run_spmd_ft(self.nprocs, model, fault, run, body);
         let failures: Vec<_> = ft
             .results
             .iter()
@@ -792,7 +794,7 @@ fn serve_body(
                 } else {
                     Value::Unit
                 };
-                try_run_plan_with(ctx, &sub.plan, input, config.compose, None)
+                try_run_plan_with(ctx, &sub.plan, input, config.compose)
             });
             if me == wave.starts[j] {
                 mine.push(PlanDone {
@@ -854,7 +856,7 @@ fn serve_body(
 
 #[cfg(test)]
 mod tests {
-    use archetype_core::{ArchetypeInfo, PhaseKind, PhaseTrace};
+    use archetype_core::{ArchetypeInfo, PhaseKind};
     use archetype_mp::{CrashSite, MachineModel};
 
     use super::*;
@@ -894,12 +896,9 @@ mod tests {
             self.weight
         }
 
-        fn run(&self, ctx: &mut Ctx, input: Value, trace: Option<&PhaseTrace>) -> Value {
-            let _ = ctx;
-            if let Some(t) = trace {
-                t.record(PhaseKind::Split, "fold split");
-                t.record(PhaseKind::Solve, "fold solve");
-                t.record(PhaseKind::Merge, "fold merge");
+        fn run(&self, ctx: &mut Ctx, input: Value) -> Value {
+            for kind in [PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge] {
+                ctx.trace_phase(kind.name(), "fold");
             }
             Value::F64(fold_value(&input) * 1.5 + self.weight)
         }
@@ -1023,7 +1022,7 @@ mod tests {
         // it past the default 3-retry budget.
         let fault = FaultPlan::new(11).fail_atom(2, 9);
         let out = svc
-            .serve_ft(MachineModel::ibm_sp(), fault)
+            .serve_ft(MachineModel::ibm_sp(), fault, RunConfig::default())
             .expect("no rank crashed");
         assert_eq!(out.report.outcomes.len(), 1);
         let err = out.report.outcomes[0].as_ref().expect_err("doomed atom");
@@ -1046,7 +1045,11 @@ mod tests {
         };
         let plain = batch().serve_with(MachineModel::ibm_sp(), RunConfig::default());
         let ft = batch()
-            .serve_ft(MachineModel::ibm_sp(), FaultPlan::new(5))
+            .serve_ft(
+                MachineModel::ibm_sp(),
+                FaultPlan::new(5),
+                RunConfig::default(),
+            )
             .expect("an inert plan crashes nothing");
         assert_eq!(ft.report, plain.report);
         assert_eq!(ft.elapsed_virtual, plain.elapsed_virtual);
@@ -1062,7 +1065,7 @@ mod tests {
         svc.submit(1, fold_plan(1.0), Value::Unit).unwrap();
         let fault = FaultPlan::new(11).crash(0, CrashSite::Send(0));
         let err = svc
-            .serve_ft(MachineModel::ibm_sp(), fault)
+            .serve_ft(MachineModel::ibm_sp(), fault, RunConfig::default())
             .expect_err("rank 0 dies");
         assert!(!err.failures().is_empty());
         assert!(err.failures().iter().any(|f| f.injected));

@@ -93,6 +93,34 @@ impl PhaseKind {
             PhaseKind::Recover => "recover",
         }
     }
+
+    /// The phase kind whose [`PhaseKind::name`] is `name`: turns the
+    /// `kind` string of a substrate phase event back into a kind.
+    pub fn from_name(name: &str) -> Option<PhaseKind> {
+        Some(match name {
+            "recurse" => PhaseKind::Recurse,
+            "split" => PhaseKind::Split,
+            "solve" => PhaseKind::Solve,
+            "merge" => PhaseKind::Merge,
+            "grid-op" => PhaseKind::GridOp,
+            "row-op" => PhaseKind::RowOp,
+            "col-op" => PhaseKind::ColOp,
+            "reduction" => PhaseKind::Reduction,
+            "io" => PhaseKind::Io,
+            "communication" => PhaseKind::Communication,
+            "seed" => PhaseKind::Seed,
+            "work" => PhaseKind::Work,
+            "steal" => PhaseKind::Steal,
+            "terminate" => PhaseKind::Terminate,
+            "ingest" => PhaseKind::Ingest,
+            "transform" => PhaseKind::Transform,
+            "drain" => PhaseKind::Drain,
+            "emit" => PhaseKind::Emit,
+            "detect" => PhaseKind::Detect,
+            "recover" => PhaseKind::Recover,
+            _ => return None,
+        })
+    }
 }
 
 impl std::fmt::Display for PhaseKind {
@@ -101,38 +129,21 @@ impl std::fmt::Display for PhaseKind {
     }
 }
 
-/// One phase of an archetype-structured computation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Phase {
-    /// What kind of phase this is.
-    pub kind: PhaseKind,
-    /// Human-readable label, e.g. `"local sort"` or `"boundary exchange"`.
-    pub label: String,
-}
-
-impl Phase {
-    /// Construct a phase.
-    pub fn new(kind: PhaseKind, label: impl Into<String>) -> Self {
-        Phase {
-            kind,
-            label: label.into(),
-        }
-    }
-}
-
 /// A grammar over [`PhaseKind`] sequences: the machine-checkable shape of
-/// an archetype's phase structure.
+/// an archetype's phase structure, as `const` data.
 ///
 /// Every [`ArchetypeInfo`] declares one; `tests/conformance.rs` asserts
-/// that every [`crate::PhaseTrace`] a skeleton emits is *accepted* by its
-/// archetype's grammar — turning the metadata into an enforced contract
-/// rather than documentation. Patterns are ordinary regular operators
-/// plus [`PhasePattern::Tree`], the Dyck-style balanced pattern that a
+/// that the phases a skeleton stamps into a traced run
+/// (`Ctx::trace_phase`) are *accepted* by its archetype's grammar —
+/// turning the metadata into an enforced contract rather than
+/// documentation. Patterns are ordinary regular operators plus
+/// [`PhasePattern::Tree`], the Dyck-style balanced pattern that a
 /// preorder recursion trace (recursive divide-and-conquer) requires and
-/// regular operators cannot express.
+/// regular operators cannot express. Matching goes through the owned
+/// form, [`PatternExpr::from_static`].
 ///
 /// ```
-/// use archetype_core::archetype::{PhaseKind, PhasePattern};
+/// use archetype_core::archetype::{PatternExpr, PhaseKind, PhasePattern};
 /// use PhaseKind::{Merge, Solve, Split};
 ///
 /// const G: PhasePattern = PhasePattern::Seq(&[
@@ -140,8 +151,9 @@ impl Phase {
 ///     PhasePattern::Plus(&PhasePattern::Kind(Solve)),
 ///     PhasePattern::Kind(Merge),
 /// ]);
-/// assert!(G.matches(&[Split, Solve, Solve, Merge]));
-/// assert!(!G.matches(&[Split, Merge]));
+/// let g = PatternExpr::from_static(&G);
+/// assert!(g.matches(&[Split, Solve, Solve, Merge]));
+/// assert!(!g.matches(&[Split, Merge]));
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub enum PhasePattern {
@@ -168,130 +180,13 @@ pub enum PhasePattern {
     },
 }
 
-impl PhasePattern {
-    /// True if `kinds` as a whole is a sentence of this grammar.
-    pub fn matches(&self, kinds: &[PhaseKind]) -> bool {
-        self.ends(kinds, 0).contains(&kinds.len())
-    }
-
-    /// All positions a match starting at `pos` can end at (deduplicated,
-    /// ascending). Traces are short, so plain backtracking is plenty.
-    fn ends(&self, kinds: &[PhaseKind], pos: usize) -> Vec<usize> {
-        let mut out = match self {
-            PhasePattern::Kind(k) => {
-                if kinds.get(pos) == Some(k) {
-                    vec![pos + 1]
-                } else {
-                    vec![]
-                }
-            }
-            PhasePattern::AnyOf(ks) => match kinds.get(pos) {
-                Some(k) if ks.contains(k) => vec![pos + 1],
-                _ => vec![],
-            },
-            PhasePattern::Seq(parts) => {
-                let mut frontier = vec![pos];
-                for part in *parts {
-                    let mut next = Vec::new();
-                    for &p in &frontier {
-                        next.extend(part.ends(kinds, p));
-                    }
-                    frontier = next;
-                    if frontier.is_empty() {
-                        break;
-                    }
-                }
-                frontier
-            }
-            PhasePattern::Star(inner) => {
-                let mut reach = vec![pos];
-                let mut frontier = vec![pos];
-                while !frontier.is_empty() {
-                    let mut next = Vec::new();
-                    for &p in &frontier {
-                        for e in inner.ends(kinds, p) {
-                            // Only strictly advancing repetitions, so a
-                            // nullable inner pattern cannot loop forever.
-                            if e > p && !reach.contains(&e) {
-                                reach.push(e);
-                                next.push(e);
-                            }
-                        }
-                    }
-                    frontier = next;
-                }
-                reach
-            }
-            PhasePattern::Plus(inner) => {
-                let mut out = Vec::new();
-                for first in inner.ends(kinds, pos) {
-                    out.extend(PhasePattern::Star(inner).ends(kinds, first));
-                }
-                out
-            }
-            PhasePattern::Opt(inner) => {
-                let mut out = vec![pos];
-                out.extend(inner.ends(kinds, pos));
-                out
-            }
-            PhasePattern::Tree { open, leaf, close } => {
-                match Self::tree_end(kinds, pos, *open, *leaf, *close) {
-                    Some(e) => vec![e],
-                    None => vec![],
-                }
-            }
-        };
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Deterministic recursive-descent parse of one tree starting at
-    /// `pos`; returns the position after it.
-    fn tree_end(
-        kinds: &[PhaseKind],
-        pos: usize,
-        open: PhaseKind,
-        leaf: PhaseKind,
-        close: PhaseKind,
-    ) -> Option<usize> {
-        match kinds.get(pos)? {
-            k if *k == leaf => Some(pos + 1),
-            k if *k == open => {
-                let mut p = Self::tree_end(kinds, pos + 1, open, leaf, close)?;
-                while let Some(next) = kinds.get(p) {
-                    if *next == close {
-                        return Some(p + 1);
-                    }
-                    p = Self::tree_end(kinds, p, open, leaf, close)?;
-                }
-                None
-            }
-            _ => None,
-        }
-    }
-}
-
-/// An **owned, runtime-composable** phase grammar: the dynamic
-/// counterpart of [`PhasePattern`], built when the shape of a computation
-/// is only known at run time — most importantly by the composition
-/// subsystem (`crates/compose`), which derives the grammar of a whole
-/// *plan* of archetype instances from its members' static grammars.
-///
-/// Two composition operators go beyond [`PhasePattern`]'s regular
-/// repertoire:
-///
-/// - [`PatternExpr::seq`] — members execute one after another, so their
-///   traces concatenate (a `Seq` stage chain, or `Par` branches flattened
-///   in branch order, which is how the composition executor canonicalizes
-///   concurrent branches into one deterministic trace);
-/// - [`PatternExpr::interleave`] — members execute concurrently and their
-///   traces may shuffle arbitrarily while each preserves its own order
-///   (checking a trace merged by timestamp rather than by branch).
-///   Matching tries every order-preserving assignment of trace elements
-///   to members (exponential in the worst case — intended for the short
-///   traces conformance tests check); branch-order concatenation is one
-///   such assignment, so whatever `seq` accepts, `interleave` accepts too.
+/// An **owned, runtime-composable** phase grammar and the one matcher:
+/// the dynamic counterpart of [`PhasePattern`], built from the static
+/// archetype grammars ([`PatternExpr::from_static`]) or composed at run
+/// time — most importantly by the composition subsystem
+/// (`crates/compose`), which derives the grammar of a whole *plan* of
+/// archetype instances from its members' static grammars by sequence
+/// composition ([`PatternExpr::seq`]).
 ///
 /// ```
 /// use archetype_core::archetype::{PatternExpr, PhaseKind, ONE_DEEP_DC, TASK_FARM};
@@ -304,13 +199,6 @@ impl PhasePattern {
 /// ]);
 /// assert!(g.matches(&[Seed, Work, Terminate, Split, Solve, Merge]));
 /// assert!(!g.matches(&[Split, Solve, Merge, Seed, Work, Terminate]));
-///
-/// // Run concurrently instead: any shuffle of the two traces is legal.
-/// let i = PatternExpr::interleave(vec![
-///     PatternExpr::from_static(&TASK_FARM.grammar),
-///     PatternExpr::from_static(&ONE_DEEP_DC.grammar),
-/// ]);
-/// assert!(i.matches(&[Seed, Split, Work, Solve, Terminate, Merge]));
 /// ```
 #[derive(Clone, Debug)]
 pub enum PatternExpr {
@@ -335,10 +223,6 @@ pub enum PatternExpr {
         /// Phase recorded when an internal node combines its children.
         close: PhaseKind,
     },
-    /// Any order-preserving shuffle of the members' traces (concurrent
-    /// composition). Matching is exponential in the worst case; use for
-    /// the short traces that conformance checks examine.
-    Interleave(Vec<PatternExpr>),
 }
 
 impl PatternExpr {
@@ -347,19 +231,13 @@ impl PatternExpr {
         PatternExpr::Seq(parts)
     }
 
-    /// Concurrent composition: members' traces shuffle, each preserving
-    /// its own order.
-    pub fn interleave(parts: Vec<PatternExpr>) -> PatternExpr {
-        PatternExpr::Interleave(parts)
-    }
-
     /// Zero-or-one occurrence of `inner`.
     pub fn opt(inner: PatternExpr) -> PatternExpr {
         PatternExpr::Opt(Box::new(inner))
     }
 
     /// Convert a static archetype grammar into an owned expression, so it
-    /// can be composed with others at run time.
+    /// can be matched or composed with others at run time.
     pub fn from_static(p: &PhasePattern) -> PatternExpr {
         match p {
             PhasePattern::Kind(k) => PatternExpr::Kind(*k),
@@ -388,8 +266,7 @@ impl PatternExpr {
     }
 
     /// All positions a match starting at `pos` can end at (deduplicated,
-    /// ascending) — the same backtracking scheme as [`PhasePattern`],
-    /// plus the interleaving search.
+    /// ascending). Traces are short, so plain backtracking is plenty.
     fn ends(&self, kinds: &[PhaseKind], pos: usize) -> Vec<usize> {
         let mut out = match self {
             PatternExpr::Kind(k) => {
@@ -419,27 +296,11 @@ impl PatternExpr {
                 }
                 frontier
             }
-            PatternExpr::Star(inner) => {
-                let mut reach = vec![pos];
-                let mut frontier = vec![pos];
-                while !frontier.is_empty() {
-                    let mut next = Vec::new();
-                    for &p in &frontier {
-                        for e in inner.ends(kinds, p) {
-                            if e > p && !reach.contains(&e) {
-                                reach.push(e);
-                                next.push(e);
-                            }
-                        }
-                    }
-                    frontier = next;
-                }
-                reach
-            }
+            PatternExpr::Star(inner) => inner.repeat_ends(kinds, pos),
             PatternExpr::Plus(inner) => {
                 let mut out = Vec::new();
                 for first in inner.ends(kinds, pos) {
-                    out.extend(PatternExpr::Star(inner.clone()).ends(kinds, first));
+                    out.extend(inner.repeat_ends(kinds, first));
                 }
                 out
             }
@@ -449,25 +310,9 @@ impl PatternExpr {
                 out
             }
             PatternExpr::Tree { open, leaf, close } => {
-                match PhasePattern::tree_end(kinds, pos, *open, *leaf, *close) {
-                    Some(e) => vec![e],
-                    None => vec![],
-                }
-            }
-            PatternExpr::Interleave(parts) => {
-                // An interleaving of k members matching kinds[pos..e]: try
-                // every order-preserving assignment of elements to members
-                // by peeling distinct *subsequences*. Implemented as: the
-                // suffix kinds[pos..] is split; a full-prefix match is
-                // found by checking, for each candidate end e, whether
-                // kinds[pos..e] shuffles into the members.
-                let mut out = Vec::new();
-                for e in pos..=kinds.len() {
-                    if Self::shuffles(parts, &kinds[pos..e]) {
-                        out.push(e);
-                    }
-                }
-                out
+                Self::tree_end(kinds, pos, *open, *leaf, *close)
+                    .into_iter()
+                    .collect()
             }
         };
         out.sort_unstable();
@@ -475,146 +320,49 @@ impl PatternExpr {
         out
     }
 
-    /// True if `kinds` (whole) is an order-preserving shuffle of one
-    /// sentence per member. Backtracking over per-member subsequences,
-    /// pruned by **exact** prefix viability ([`PatternExpr::accepts_prefix`]):
-    /// a token is only ever assigned to a member whose subsequence can
-    /// still extend to a sentence, so canonical (branch-ordered) traces
-    /// match in near-linear time even when sibling alphabets coincide.
-    fn shuffles(parts: &[PatternExpr], kinds: &[PhaseKind]) -> bool {
-        fn go(
-            parts: &[PatternExpr],
-            kinds: &[PhaseKind],
-            pos: usize,
-            taken: &mut Vec<Vec<PhaseKind>>,
-        ) -> bool {
-            if pos == kinds.len() {
-                return parts.iter().zip(taken.iter()).all(|(p, t)| p.matches(t));
-            }
-            for m in 0..parts.len() {
-                taken[m].push(kinds[pos]);
-                if parts[m].accepts_prefix(&taken[m], 0) && go(parts, kinds, pos + 1, taken) {
-                    return true;
+    /// End positions of zero or more repetitions of `self` from `pos`.
+    fn repeat_ends(&self, kinds: &[PhaseKind], pos: usize) -> Vec<usize> {
+        let mut reach = vec![pos];
+        let mut frontier = vec![pos];
+        while !frontier.is_empty() {
+            let mut next = Vec::new();
+            for &p in &frontier {
+                for e in self.ends(kinds, p) {
+                    // Only strictly advancing repetitions, so a nullable
+                    // inner pattern cannot loop forever.
+                    if e > p && !reach.contains(&e) {
+                        reach.push(e);
+                        next.push(e);
+                    }
                 }
-                taken[m].pop();
             }
-            false
+            frontier = next;
         }
-        let mut taken = vec![Vec::new(); parts.len()];
-        go(parts, kinds, 0, &mut taken)
+        reach
     }
 
-    /// Exact prefix viability: true iff some sentence of this grammar
-    /// starts with `kinds[pos..]` (a complete sentence counts — the
-    /// extension may be empty).
-    fn accepts_prefix(&self, kinds: &[PhaseKind], pos: usize) -> bool {
-        if pos >= kinds.len() {
-            return true; // empty remainder: every pattern has a sentence
-        }
-        match self {
-            PatternExpr::Kind(k) => kinds.len() - pos == 1 && kinds[pos] == *k,
-            PatternExpr::AnyOf(ks) => kinds.len() - pos == 1 && ks.contains(&kinds[pos]),
-            PatternExpr::Seq(parts) => {
-                let mut frontier = vec![pos];
-                for part in parts {
-                    // The remainder may end inside `part`...
-                    if frontier.iter().any(|&p| part.accepts_prefix(kinds, p)) {
-                        return true;
+    /// Deterministic recursive-descent parse of one tree starting at
+    /// `pos`; returns the position after it.
+    fn tree_end(
+        kinds: &[PhaseKind],
+        pos: usize,
+        open: PhaseKind,
+        leaf: PhaseKind,
+        close: PhaseKind,
+    ) -> Option<usize> {
+        match kinds.get(pos)? {
+            k if *k == leaf => Some(pos + 1),
+            k if *k == open => {
+                let mut p = Self::tree_end(kinds, pos + 1, open, leaf, close)?;
+                while let Some(next) = kinds.get(p) {
+                    if *next == close {
+                        return Some(p + 1);
                     }
-                    // ...or `part` completes and a later part consumes on.
-                    let mut next = Vec::new();
-                    for &p in &frontier {
-                        next.extend(part.ends(kinds, p));
-                    }
-                    next.sort_unstable();
-                    next.dedup();
-                    frontier = next;
-                    if frontier.is_empty() {
-                        return false;
-                    }
+                    p = Self::tree_end(kinds, p, open, leaf, close)?;
                 }
-                frontier.contains(&kinds.len())
+                None
             }
-            PatternExpr::Star(inner) | PatternExpr::Plus(inner) => {
-                // One repetition may be cut off by the end of the
-                // remainder; complete repetitions advance the position.
-                let mut reach = vec![pos];
-                let mut frontier = vec![pos];
-                while !frontier.is_empty() {
-                    if frontier.iter().any(|&p| inner.accepts_prefix(kinds, p)) {
-                        return true;
-                    }
-                    let mut next = Vec::new();
-                    for &p in &frontier {
-                        for e in inner.ends(kinds, p) {
-                            if e > p && !reach.contains(&e) {
-                                reach.push(e);
-                                next.push(e);
-                            }
-                        }
-                    }
-                    frontier = next;
-                }
-                reach.contains(&kinds.len())
-            }
-            PatternExpr::Opt(inner) => inner.accepts_prefix(kinds, pos),
-            PatternExpr::Tree { open, leaf, close } => {
-                // Incremental parse of a preorder tree trace: every open
-                // node can still be completed, so any scan that neither
-                // violates the grammar nor continues past a completed
-                // root is a viable prefix.
-                let mut child_counts: Vec<usize> = Vec::new();
-                let mut root_done = false;
-                for k in &kinds[pos..] {
-                    if root_done {
-                        return false;
-                    }
-                    if k == leaf {
-                        match child_counts.last_mut() {
-                            Some(c) => *c += 1,
-                            None => root_done = true,
-                        }
-                    } else if k == open {
-                        child_counts.push(0);
-                    } else if k == close {
-                        match child_counts.pop() {
-                            Some(c) if c >= 1 => match child_counts.last_mut() {
-                                Some(parent) => *parent += 1,
-                                None => root_done = true,
-                            },
-                            _ => return false, // empty node or stray close
-                        }
-                    } else {
-                        return false;
-                    }
-                }
-                true
-            }
-            PatternExpr::Interleave(parts) => {
-                // A viable interleave prefix is a shuffle of viable
-                // member prefixes.
-                fn go(
-                    parts: &[PatternExpr],
-                    kinds: &[PhaseKind],
-                    pos: usize,
-                    taken: &mut Vec<Vec<PhaseKind>>,
-                ) -> bool {
-                    if pos == kinds.len() {
-                        return true; // all members hold viable prefixes
-                    }
-                    for m in 0..parts.len() {
-                        taken[m].push(kinds[pos]);
-                        if parts[m].accepts_prefix(&taken[m], 0) && go(parts, kinds, pos + 1, taken)
-                        {
-                            return true;
-                        }
-                        taken[m].pop();
-                    }
-                    false
-                }
-                let mut taken = vec![Vec::new(); parts.len()];
-                go(parts, &kinds[pos..], 0, &mut taken)
-            }
+            _ => None,
         }
     }
 }
@@ -824,10 +572,33 @@ mod tests {
     }
 
     #[test]
-    fn phase_constructor_stores_label() {
-        let p = Phase::new(PhaseKind::Solve, "local sort");
-        assert_eq!(p.kind, PhaseKind::Solve);
-        assert_eq!(p.label, "local sort");
+    fn from_name_inverts_name() {
+        use PhaseKind::*;
+        for k in [
+            Recurse,
+            Split,
+            Solve,
+            Merge,
+            GridOp,
+            RowOp,
+            ColOp,
+            Reduction,
+            Io,
+            Communication,
+            Seed,
+            Work,
+            Steal,
+            Terminate,
+            Ingest,
+            Transform,
+            Drain,
+            Emit,
+            Detect,
+            Recover,
+        ] {
+            assert_eq!(PhaseKind::from_name(k.name()), Some(k));
+        }
+        assert_eq!(PhaseKind::from_name("wave"), None);
     }
 
     #[test]
@@ -844,7 +615,7 @@ mod tests {
     #[test]
     fn one_deep_grammar_accepts_exactly_split_solve_merge() {
         use PhaseKind::{Merge, Solve, Split};
-        let g = &ONE_DEEP_DC.grammar;
+        let g = PatternExpr::from_static(&ONE_DEEP_DC.grammar);
         assert!(g.matches(&[Split, Solve, Merge]));
         assert!(!g.matches(&[Split, Merge]));
         assert!(!g.matches(&[Split, Solve, Merge, Merge]));
@@ -854,7 +625,7 @@ mod tests {
     #[test]
     fn recursive_grammar_accepts_preorder_trees_only() {
         use PhaseKind::{Merge, Recurse, Solve};
-        let g = &RECURSIVE_DC.grammar;
+        let g = PatternExpr::from_static(&RECURSIVE_DC.grammar);
         assert!(g.matches(&[Solve]));
         assert!(g.matches(&[Recurse, Solve, Solve, Merge]));
         // The depth-2 binary tree from the dc skeleton's own test.
@@ -872,7 +643,7 @@ mod tests {
     #[test]
     fn farm_grammar_requires_seed_rounds_terminate() {
         use PhaseKind::{Seed, Steal, Terminate, Work};
-        let g = &TASK_FARM.grammar;
+        let g = PatternExpr::from_static(&TASK_FARM.grammar);
         assert!(g.matches(&[Seed, Work, Terminate]));
         assert!(g.matches(&[Seed, Work, Steal, Work, Steal, Terminate]));
         assert!(g.matches(&[Seed, Work, Work, Steal, Terminate]));
@@ -884,7 +655,7 @@ mod tests {
     #[test]
     fn farm_grammar_accepts_detect_recover_rounds() {
         use PhaseKind::{Detect, Recover, Seed, Terminate, Work};
-        let g = &TASK_FARM.grammar;
+        let g = PatternExpr::from_static(&TASK_FARM.grammar);
         // A worker death observed after a round: detect, reassign, rework.
         assert!(g.matches(&[Seed, Work, Detect, Recover, Work, Terminate]));
         // Two deaths in one round.
@@ -898,7 +669,7 @@ mod tests {
     #[test]
     fn mesh_grammar_brackets_op_rounds_with_io() {
         use PhaseKind::{ColOp, Communication, GridOp, Io, Reduction, RowOp};
-        let g = &MESH_SPECTRAL.grammar;
+        let g = PatternExpr::from_static(&MESH_SPECTRAL.grammar);
         assert!(g.matches(&[Io, Io]));
         assert!(g.matches(&[Io, Communication, GridOp, Reduction, GridOp, Io]));
         assert!(g.matches(&[Io, RowOp, ColOp, Reduction, Io]));
@@ -909,7 +680,7 @@ mod tests {
     #[test]
     fn pipeline_grammar_is_ingest_transforms_drain_emit() {
         use PhaseKind::{Drain, Emit, Ingest, Transform};
-        let g = &PIPELINE.grammar;
+        let g = PatternExpr::from_static(&PIPELINE.grammar);
         assert!(g.matches(&[Ingest, Drain, Emit]));
         assert!(g.matches(&[Ingest, Transform, Transform, Transform, Drain, Emit]));
         assert!(!g.matches(&[Ingest, Transform, Emit]));
@@ -920,7 +691,7 @@ mod tests {
     #[test]
     fn pipeline_grammar_accepts_failover_records() {
         use PhaseKind::{Detect, Drain, Emit, Ingest, Recover, Transform};
-        let g = &PIPELINE.grammar;
+        let g = PatternExpr::from_static(&PIPELINE.grammar);
         // A replica death mid-stream: its items re-route to a survivor.
         assert!(g.matches(&[Ingest, Transform, Detect, Recover, Transform, Drain, Emit]));
         assert!(g.matches(&[Ingest, Detect, Recover, Drain, Emit]));
@@ -960,9 +731,7 @@ mod tests {
         for (info, yes, no) in cases {
             let e = PatternExpr::from_static(&info.grammar);
             assert!(e.matches(&yes), "{}: {yes:?}", info.name);
-            assert!(info.grammar.matches(&yes), "{}: static {yes:?}", info.name);
             assert!(!e.matches(&no), "{}: {no:?}", info.name);
-            assert!(!info.grammar.matches(&no), "{}: static {no:?}", info.name);
         }
     }
 
@@ -982,42 +751,14 @@ mod tests {
     }
 
     #[test]
-    fn interleave_accepts_shuffles_and_rejects_reordered_members() {
-        use PhaseKind::*;
-        let g = PatternExpr::interleave(vec![
-            PatternExpr::from_static(&TASK_FARM.grammar),
-            PatternExpr::from_static(&ONE_DEEP_DC.grammar),
-        ]);
-        // Branch-ordered concatenation is one legal shuffle...
-        assert!(g.matches(&[Seed, Work, Terminate, Split, Solve, Merge]));
-        // ...as is a genuine interleaving...
-        assert!(g.matches(&[Seed, Split, Work, Solve, Merge, Terminate]));
-        // ...but each member's internal order must hold.
-        assert!(!g.matches(&[Work, Seed, Terminate, Split, Solve, Merge]));
-        assert!(!g.matches(&[Seed, Work, Terminate, Merge, Solve, Split]));
-    }
-
-    #[test]
-    fn interleave_of_tree_grammars_works() {
-        use PhaseKind::*;
-        // Two concurrent recursive D&C branches, merged by timestamp.
-        let g = PatternExpr::interleave(vec![
-            PatternExpr::from_static(&RECURSIVE_DC.grammar),
-            PatternExpr::from_static(&RECURSIVE_DC.grammar),
-        ]);
-        assert!(g.matches(&[Recurse, Solve, Solve, Solve, Merge, Solve]));
-        assert!(!g.matches(&[Solve])); // the other branch's trace is empty
-        assert!(!g.matches(&[Solve, Merge])); // no split yields two trees
-    }
-
-    #[test]
     fn star_of_nullable_pattern_terminates() {
         use PhaseKind::{GridOp, Io};
         // Star over an Opt could loop forever without the strict-advance
         // guard; it must just accept.
         const G: PhasePattern = PhasePattern::Star(&PhasePattern::Opt(&PhasePattern::Kind(GridOp)));
-        assert!(G.matches(&[]));
-        assert!(G.matches(&[GridOp, GridOp]));
-        assert!(!G.matches(&[Io]));
+        let g = PatternExpr::from_static(&G);
+        assert!(g.matches(&[]));
+        assert!(g.matches(&[GridOp, GridOp]));
+        assert!(!g.matches(&[Io]));
     }
 }

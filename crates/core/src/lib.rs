@@ -13,9 +13,10 @@
 //! are executed either by a plain loop ([`ExecutionMode::Sequential`]) or by
 //! rayon ([`ExecutionMode::Parallel`]) — the archetype contract is that the
 //! iterations are independent, so the two modes agree. It also provides
-//! associative reduction operators ([`ops`]), archetype/phase metadata
-//! ([`archetype`]), and a phase tracer ([`trace`]) used by tests to assert
-//! that applications follow their archetype's dataflow pattern.
+//! associative reduction operators ([`ops`]) and archetype/phase metadata
+//! ([`archetype`]): the phase kinds skeletons stamp into traced runs and
+//! the grammars tests check those stamps against, to assert that
+//! applications follow their archetype's dataflow pattern.
 //!
 //! ```
 //! use archetype_core::{parfor_map, ExecutionMode};
@@ -31,10 +32,8 @@ pub mod archetype;
 pub mod mode;
 pub mod ops;
 pub mod parfor;
-pub mod trace;
 
-pub use archetype::{ArchetypeInfo, PatternExpr, Phase, PhaseKind, PhasePattern};
+pub use archetype::{ArchetypeInfo, PatternExpr, PhaseKind, PhasePattern};
 pub use mode::ExecutionMode;
 pub use ops::{associative_fold, ReduceOp};
 pub use parfor::{forall, parfor, parfor_chunks, parfor_map, parfor_map_vec, parfor_reduce};
-pub use trace::PhaseTrace;

@@ -460,12 +460,7 @@ mod tests {
                 v.truncate(n);
                 v
             };
-            let out = run_shared(
-                &OneDeepClosest::new(),
-                inputs,
-                ExecutionMode::Sequential,
-                None,
-            );
+            let out = run_shared(&OneDeepClosest::new(), inputs, ExecutionMode::Sequential);
             let got = global_closest(&out);
             assert!((got - expected).abs() < 1e-9, "n={n}: {got} vs {expected}");
         }
@@ -481,12 +476,7 @@ mod tests {
         ];
         let all: Vec<Point> = inputs.iter().flatten().copied().collect();
         let expected = sequential_closest(&all); // 0.2 across the boundary
-        let out = run_shared(
-            &OneDeepClosest::new(),
-            inputs,
-            ExecutionMode::Sequential,
-            None,
-        );
+        let out = run_shared(&OneDeepClosest::new(), inputs, ExecutionMode::Sequential);
         let got = global_closest(&out);
         assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
         assert!((got - 0.2).abs() < 1e-6);
@@ -498,8 +488,8 @@ mod tests {
         let expected = sequential_closest(&all);
         let inputs: Vec<Vec<Point>> = all.chunks(100).map(<[Point]>::to_vec).collect();
         let alg = OneDeepClosest::new();
-        let seq = run_shared(&alg, inputs.clone(), ExecutionMode::Sequential, None);
-        let par = run_shared(&alg, inputs.clone(), ExecutionMode::Parallel, None);
+        let seq = run_shared(&alg, inputs.clone(), ExecutionMode::Sequential);
+        let par = run_shared(&alg, inputs.clone(), ExecutionMode::Parallel);
         assert_eq!(global_closest(&seq), global_closest(&par));
         let spmd = mp_run(inputs.len(), MachineModel::ibm_sp(), |ctx| {
             run_spmd(&OneDeepClosest::new(), ctx, inputs[ctx.rank()].clone())
@@ -519,7 +509,6 @@ mod tests {
                     pts.clone(),
                     &CutoffPolicy::exact_depth(depth, k),
                     ExecutionMode::Sequential,
-                    None,
                 );
                 assert!(
                     (got.best - expected).abs() < 1e-12,
@@ -550,7 +539,6 @@ mod tests {
             pts,
             &CutoffPolicy::exact_depth(1, 4),
             ExecutionMode::Sequential,
-            None,
         );
         assert!((got.best - 0.2).abs() < 1e-9, "{}", got.best);
     }
@@ -586,7 +574,6 @@ mod tests {
             Vec::new(),
             &policy,
             ExecutionMode::Sequential,
-            None,
         );
         assert_eq!(empty.best, f64::INFINITY);
         let single = run_rec(
@@ -594,7 +581,6 @@ mod tests {
             vec![p(1.0, 1.0)],
             &policy,
             ExecutionMode::Sequential,
-            None,
         );
         assert_eq!(single.best, f64::INFINITY);
         let coincident = run_rec(
@@ -602,7 +588,6 @@ mod tests {
             vec![p(5.0, 5.0), p(5.0, 5.0), p(9.0, 9.0)],
             &policy,
             ExecutionMode::Sequential,
-            None,
         );
         assert_eq!(coincident.best, 0.0);
     }
@@ -610,12 +595,7 @@ mod tests {
     #[test]
     fn sparse_processes_with_too_few_points() {
         let inputs = vec![vec![p(0.0, 0.0)], vec![], vec![p(0.0, 1.5)]];
-        let out = run_shared(
-            &OneDeepClosest::new(),
-            inputs,
-            ExecutionMode::Sequential,
-            None,
-        );
+        let out = run_shared(&OneDeepClosest::new(), inputs, ExecutionMode::Sequential);
         assert!((global_closest(&out) - 1.5).abs() < 1e-9);
     }
 }

@@ -244,7 +244,7 @@ mod tests {
             // Re-flatten to ensure we kept every point despite resizing.
             let kept: usize = inputs.iter().map(Vec::len).sum();
             assert_eq!(kept, 400);
-            let out = run_shared(&OneDeepHull::new(), inputs, ExecutionMode::Sequential, None);
+            let out = run_shared(&OneDeepHull::new(), inputs, ExecutionMode::Sequential);
             for block in &out {
                 assert_eq!(block, &expected, "n={n}: replicated hull must match");
             }
@@ -256,8 +256,8 @@ mod tests {
         let all = pseudo_random_points(300, 99);
         let inputs: Vec<Vec<Point>> = all.chunks(75).map(<[Point]>::to_vec).collect();
         let alg = OneDeepHull::new();
-        let seq = run_shared(&alg, inputs.clone(), ExecutionMode::Sequential, None);
-        let par = run_shared(&alg, inputs.clone(), ExecutionMode::Parallel, None);
+        let seq = run_shared(&alg, inputs.clone(), ExecutionMode::Sequential);
+        let par = run_shared(&alg, inputs.clone(), ExecutionMode::Parallel);
         assert_eq!(seq, par);
         let spmd = mp_run(inputs.len(), MachineModel::ibm_sp(), |ctx| {
             run_spmd(&OneDeepHull::new(), ctx, inputs[ctx.rank()].clone())
@@ -272,7 +272,7 @@ mod tests {
             vec![],
             vec![p(2.0, 1.0)], // interior
         ];
-        let out = run_shared(&OneDeepHull::new(), inputs, ExecutionMode::Sequential, None);
+        let out = run_shared(&OneDeepHull::new(), inputs, ExecutionMode::Sequential);
         assert_eq!(out[0].len(), 3);
         assert_eq!(out[0], out[1]);
         assert_eq!(out[1], out[2]);

@@ -318,7 +318,7 @@ mod tests {
         for n in [1usize, 2, 4, 7] {
             let input = blocks(n, 500);
             let expected = flat_sorted(&input);
-            let out = run_shared(&alg, input, ExecutionMode::Sequential, None);
+            let out = run_shared(&alg, input, ExecutionMode::Sequential);
             // Concatenation is the sorted array...
             let flat: Vec<i64> = out.iter().flatten().copied().collect();
             assert_eq!(flat, expected, "n={n}");
@@ -335,8 +335,8 @@ mod tests {
     #[test]
     fn version1_sequential_equals_parallel() {
         let alg = OneDeepMergesort::<i64>::new();
-        let seq = run_shared(&alg, blocks(6, 333), ExecutionMode::Sequential, None);
-        let par = run_shared(&alg, blocks(6, 333), ExecutionMode::Parallel, None);
+        let seq = run_shared(&alg, blocks(6, 333), ExecutionMode::Sequential);
+        let par = run_shared(&alg, blocks(6, 333), ExecutionMode::Parallel);
         assert_eq!(seq, par);
     }
 
@@ -345,7 +345,7 @@ mod tests {
         let alg = OneDeepMergesort::<i64>::new();
         for n in [1usize, 3, 4, 8] {
             let input = blocks(n, 250);
-            let shared = run_shared(&alg, input.clone(), ExecutionMode::Sequential, None);
+            let shared = run_shared(&alg, input.clone(), ExecutionMode::Sequential);
             let out = mp_run(n, MachineModel::ibm_sp(), |ctx| {
                 let alg = OneDeepMergesort::<i64>::new();
                 run_spmd(&alg, ctx, input[ctx.rank()].clone())
@@ -359,7 +359,7 @@ mod tests {
         let alg = OneDeepMergesort::<i64>::new();
         let input = vec![vec![5, 3, 1], vec![], vec![9, 9, 9, 9, 2, 0, -7]];
         let expected = flat_sorted(&input);
-        let out = run_shared(&alg, input, ExecutionMode::Parallel, None);
+        let out = run_shared(&alg, input, ExecutionMode::Parallel);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         assert_eq!(flat, expected);
     }
@@ -368,7 +368,7 @@ mod tests {
     fn duplicates_are_preserved() {
         let alg = OneDeepMergesort::<i64>::new();
         let input = vec![vec![2, 2, 2, 2], vec![2, 2, 1, 3]];
-        let out = run_shared(&alg, input, ExecutionMode::Sequential, None);
+        let out = run_shared(&alg, input, ExecutionMode::Sequential);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         assert_eq!(flat, vec![1, 2, 2, 2, 2, 2, 2, 3]);
     }
@@ -380,7 +380,7 @@ mod tests {
         let alg = OneDeepMergesort::<i64>::with_oversample(64);
         let n = 8;
         let per = 2000;
-        let out = run_shared(&alg, blocks(n, per), ExecutionMode::Parallel, None);
+        let out = run_shared(&alg, blocks(n, per), ExecutionMode::Parallel);
         let sizes: Vec<usize> = out.iter().map(Vec::len).collect();
         let max = *sizes.iter().max().unwrap() as f64;
         assert!(
@@ -401,7 +401,6 @@ mod tests {
                     input.clone(),
                     &CutoffPolicy::exact_depth(depth, k),
                     ExecutionMode::Sequential,
-                    None,
                 );
                 assert_eq!(got, expected, "depth={depth} k={k}");
             }

@@ -240,8 +240,8 @@ impl<T: SortItem> crate::recursive::Recursive for RecursiveQuicksort<T> {
 mod tests {
     use super::*;
     use crate::skeleton::{run_shared, run_spmd};
-    use archetype_core::{ExecutionMode, PhaseKind, PhaseTrace};
-    use archetype_mp::{run_spmd as mp_run, MachineModel};
+    use archetype_core::ExecutionMode;
+    use archetype_mp::{run_spmd as mp_run, run_spmd_with, MachineModel, RunConfig};
 
     fn blocks(nblocks: usize, per: usize) -> Vec<Vec<i64>> {
         (0..nblocks)
@@ -260,7 +260,7 @@ mod tests {
             let input = blocks(n, 400);
             let mut expected: Vec<i64> = input.iter().flatten().copied().collect();
             expected.sort_unstable();
-            let out = run_shared(&alg, input, ExecutionMode::Sequential, None);
+            let out = run_shared(&alg, input, ExecutionMode::Sequential);
             let flat: Vec<i64> = out.iter().flatten().copied().collect();
             assert_eq!(flat, expected, "n={n}");
             // Degenerate merge means blocks are already disjoint key ranges.
@@ -276,8 +276,8 @@ mod tests {
     fn modes_and_spmd_agree() {
         let input = blocks(4, 300);
         let alg = OneDeepQuicksort::<i64>::new();
-        let seq = run_shared(&alg, input.clone(), ExecutionMode::Sequential, None);
-        let par = run_shared(&alg, input.clone(), ExecutionMode::Parallel, None);
+        let seq = run_shared(&alg, input.clone(), ExecutionMode::Sequential);
+        let par = run_shared(&alg, input.clone(), ExecutionMode::Parallel);
         assert_eq!(seq, par);
         let spmd = mp_run(4, MachineModel::ibm_sp(), |ctx| {
             let alg = OneDeepQuicksort::<i64>::new();
@@ -290,17 +290,24 @@ mod tests {
     fn all_equal_keys_do_not_break_partitioning() {
         let alg = OneDeepQuicksort::<i64>::new();
         let input = vec![vec![7; 100], vec![7; 100], vec![7; 100]];
-        let out = run_shared(&alg, input, ExecutionMode::Parallel, None);
+        let out = run_shared(&alg, input, ExecutionMode::Parallel);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         assert_eq!(flat, vec![7; 300]);
     }
 
     #[test]
     fn trace_shows_nontrivial_split_then_degenerate_merge() {
-        let alg = OneDeepQuicksort::<i64>::new();
-        let trace = PhaseTrace::new();
-        run_shared(&alg, blocks(3, 50), ExecutionMode::Sequential, Some(&trace));
-        assert!(trace.matches(&[PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]));
+        let input = blocks(3, 50);
+        let out = run_spmd_with(3, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
+            let alg = OneDeepQuicksort::<i64>::new();
+            run_spmd(&alg, ctx, input[ctx.rank()].clone())
+        });
+        for rank in &out.trace.expect("traced").ranks {
+            assert_eq!(
+                rank.phases().collect::<Vec<_>>(),
+                ["split", "solve", "merge"]
+            );
+        }
     }
 
     #[test]
@@ -315,7 +322,6 @@ mod tests {
                 input.clone(),
                 &CutoffPolicy::exact_depth(depth, 3),
                 ExecutionMode::Sequential,
-                None,
             );
             assert_eq!(got, expected, "depth={depth}");
         }
@@ -343,7 +349,6 @@ mod tests {
             vec![7i64; 200],
             &CutoffPolicy::exact_depth(5, 2),
             ExecutionMode::Sequential,
-            None,
         );
         assert_eq!(got, vec![7i64; 200]);
     }
@@ -352,7 +357,7 @@ mod tests {
     fn empty_blocks_are_fine() {
         let alg = OneDeepQuicksort::<i64>::new();
         let input = vec![vec![], vec![3, 1, 2], vec![]];
-        let out = run_shared(&alg, input, ExecutionMode::Sequential, None);
+        let out = run_shared(&alg, input, ExecutionMode::Sequential);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         assert_eq!(flat, vec![1, 2, 3]);
     }

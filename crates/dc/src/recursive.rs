@@ -30,7 +30,7 @@
 //! one-deep, and recursive executions is asserted per application in
 //! `tests/prop_dc.rs`.
 
-use archetype_core::{parfor_map_vec, ExecutionMode, PhaseKind, PhaseTrace};
+use archetype_core::{parfor_map_vec, ExecutionMode, PhaseKind};
 use archetype_mp::{Ctx, Group, Payload};
 
 /// A problem expressed as general recursive divide-and-conquer.
@@ -135,10 +135,9 @@ impl CutoffPolicy {
 /// In [`ExecutionMode::Parallel`] each divide's subproblems run as a
 /// fork/join ("every time the problem is split into concurrently
 /// executable subproblems a new process is created"); results are
-/// identical in both modes for deterministic algorithms. The trace
-/// records `Recurse` entering each internal node, `Solve` at each leaf,
-/// and `Merge` before each combine — in deterministic preorder in
-/// sequential mode.
+/// identical in both modes for deterministic algorithms. In sequential
+/// mode the algorithm's `divide`/`solve`/`combine` calls happen in
+/// deterministic preorder of the recursion tree.
 ///
 /// ```
 /// use archetype_core::ExecutionMode;
@@ -150,7 +149,6 @@ impl CutoffPolicy {
 ///     vec![3, 1, 2],
 ///     &CutoffPolicy::exact_depth(1, 2),
 ///     ExecutionMode::Sequential,
-///     None,
 /// );
 /// assert_eq!(out, vec![1, 2, 3]);
 /// ```
@@ -159,9 +157,8 @@ pub fn run_shared<A: Recursive>(
     problem: A::Problem,
     policy: &CutoffPolicy,
     mode: ExecutionMode,
-    trace: Option<&PhaseTrace>,
 ) -> A::Solution {
-    shared_node(alg, problem, 0, policy, mode, trace)
+    shared_node(alg, problem, 0, policy, mode)
 }
 
 fn shared_node<A: Recursive>(
@@ -170,16 +167,9 @@ fn shared_node<A: Recursive>(
     depth: usize,
     policy: &CutoffPolicy,
     mode: ExecutionMode,
-    trace: Option<&PhaseTrace>,
 ) -> A::Solution {
     if !policy.should_recurse(alg.size(&problem), depth) {
-        if let Some(t) = trace {
-            t.record(PhaseKind::Solve, "sequential solve at the cutoff");
-        }
         return alg.solve(problem);
-    }
-    if let Some(t) = trace {
-        t.record(PhaseKind::Recurse, "divide and descend");
     }
     let parts = alg.divide(problem, policy.branching);
     assert_eq!(
@@ -188,11 +178,8 @@ fn shared_node<A: Recursive>(
         "divide must return exactly k subproblems"
     );
     let sols = parfor_map_vec(mode, parts, |_i, part| {
-        shared_node(alg, part, depth + 1, policy, mode, trace)
+        shared_node(alg, part, depth + 1, policy, mode)
     });
-    if let Some(t) = trace {
-        t.record(PhaseKind::Merge, "combine subsolutions");
-    }
     alg.combine(sols)
 }
 
@@ -220,13 +207,18 @@ fn shared_node<A: Recursive>(
 ///
 /// Compute phases are charged to the virtual clock through the
 /// algorithm's `*_cost` hooks, so repeated runs produce bit-identical
-/// results, clocks, and traces.
+/// results, clocks, and traces. A traced run records `Recurse`, `Solve`
+/// and `Merge` on every rank that performs them; rank 0 walks its root
+/// path of the recursion tree.
+///
+/// `_none` is always `None`. It carries nothing and is kept only so
+/// existing five-argument callers still compile; it will be removed.
 pub fn run_spmd_recursive<A>(
     alg: &A,
     ctx: &mut Ctx,
     input: Option<A::Problem>,
     policy: &CutoffPolicy,
-    trace: Option<&PhaseTrace>,
+    _none: Option<&std::convert::Infallible>,
 ) -> Option<A::Solution>
 where
     A: Recursive,
@@ -239,7 +231,7 @@ where
         "the problem starts on rank 0 (None elsewhere)"
     );
     let mut world = Group::world(ctx);
-    spmd_node(alg, ctx, &mut world, input, 0, policy, trace)
+    spmd_node(alg, ctx, &mut world, input, 0, policy)
 }
 
 fn spmd_node<A>(
@@ -249,7 +241,6 @@ fn spmd_node<A>(
     problem: Option<A::Problem>,
     depth: usize,
     policy: &CutoffPolicy,
-    trace: Option<&PhaseTrace>,
 ) -> Option<A::Solution>
 where
     A: Recursive,
@@ -267,9 +258,6 @@ where
         return problem.map(|p| {
             ctx.charge_flops(alg.solve_cost(&p));
             ctx.trace_phase(PhaseKind::Solve.name(), "sequential solve at the cutoff");
-            if let Some(t) = trace {
-                t.record(PhaseKind::Solve, "sequential solve at the cutoff");
-            }
             alg.solve(p)
         });
     }
@@ -278,9 +266,6 @@ where
         PhaseKind::Recurse.name(),
         "divide and descend into subgroups",
     );
-    if let Some(t) = trace {
-        t.record(PhaseKind::Recurse, "divide and descend into subgroups");
-    }
     let k = policy.branching.min(g);
     // Contiguous, balanced subgroups; roots[j] is subgroup j's first member.
     let colors: Vec<usize> = (0..g).map(|i| i * k / g).collect();
@@ -310,7 +295,7 @@ where
     };
 
     let mut sub = group.split_nested(ctx, &colors);
-    let sub_solution = spmd_node(alg, ctx, &mut sub, mine, depth + 1, policy, trace);
+    let sub_solution = spmd_node(alg, ctx, &mut sub, mine, depth + 1, policy);
 
     // Combining tree: subgroup roots' solutions gather to the group root,
     // which merges them; all groups of a level combine concurrently.
@@ -325,9 +310,6 @@ where
     gathered.map(|parts| {
         ctx.charge_flops(alg.combine_cost(&parts));
         ctx.trace_phase(PhaseKind::Merge.name(), "combine subsolutions up the tree");
-        if let Some(t) = trace {
-            t.record(PhaseKind::Merge, "combine subsolutions up the tree");
-        }
         alg.combine(parts)
     })
 }
@@ -335,7 +317,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archetype_mp::{run_spmd, MachineModel};
+    use archetype_mp::{run_spmd, run_spmd_with, MachineModel, RunConfig};
 
     /// A toy recursive problem: sum a vector, dividing it into k chunks.
     struct TreeSum;
@@ -377,7 +359,6 @@ mod tests {
                         input.clone(),
                         &CutoffPolicy::exact_depth(depth, k),
                         mode,
-                        None,
                     );
                     assert_eq!(got, expected, "depth={depth} k={k} {mode}");
                 }
@@ -385,38 +366,76 @@ mod tests {
         }
     }
 
+    /// Logs each `divide`/`solve`/`combine` call of the wrapped
+    /// algorithm as the `Recurse`/`Solve`/`Merge` phase it performs.
+    struct Logged<A> {
+        alg: A,
+        log: std::sync::Mutex<Vec<PhaseKind>>,
+    }
+
+    impl<A> Logged<A> {
+        fn new(alg: A) -> Self {
+            Logged {
+                alg,
+                log: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+        fn kinds(&self) -> Vec<PhaseKind> {
+            self.log.lock().unwrap().clone()
+        }
+        fn note(&self, kind: PhaseKind) {
+            self.log.lock().unwrap().push(kind);
+        }
+    }
+
+    impl<A: Recursive> Recursive for Logged<A> {
+        type Problem = A::Problem;
+        type Solution = A::Solution;
+        fn size(&self, p: &A::Problem) -> usize {
+            self.alg.size(p)
+        }
+        fn divide(&self, p: A::Problem, k: usize) -> Vec<A::Problem> {
+            self.note(PhaseKind::Recurse);
+            self.alg.divide(p, k)
+        }
+        fn solve(&self, p: A::Problem) -> A::Solution {
+            self.note(PhaseKind::Solve);
+            self.alg.solve(p)
+        }
+        fn combine(&self, parts: Vec<A::Solution>) -> A::Solution {
+            self.note(PhaseKind::Merge);
+            self.alg.combine(parts)
+        }
+    }
+
     #[test]
     fn trace_records_preorder_recursion_shape() {
         use PhaseKind::{Merge, Recurse, Solve};
-        let t = PhaseTrace::new();
+        let alg = Logged::new(TreeSum);
         run_shared(
-            &TreeSum,
+            &alg,
             numbers(64),
             &CutoffPolicy::exact_depth(2, 2),
             ExecutionMode::Sequential,
-            Some(&t),
         );
         // Preorder of the full binary tree of depth 2.
-        assert!(t.matches(&[
-            Recurse, Recurse, Solve, Solve, Merge, Recurse, Solve, Solve, Merge, Merge
-        ]));
-        assert_eq!(t.count(Recurse), 3);
-        assert_eq!(t.count(Solve), 4);
+        assert_eq!(
+            alg.kinds(),
+            [Recurse, Recurse, Solve, Solve, Merge, Recurse, Solve, Solve, Merge, Merge]
+        );
     }
 
     #[test]
     fn size_floor_stops_recursion() {
-        let t = PhaseTrace::new();
+        let alg = Logged::new(TreeSum);
         let policy = CutoffPolicy::new(2, 1000, 10);
-        let got = run_shared(
-            &TreeSum,
-            numbers(100),
-            &policy,
-            ExecutionMode::Sequential,
-            Some(&t),
-        );
+        let got = run_shared(&alg, numbers(100), &policy, ExecutionMode::Sequential);
         assert_eq!(got, numbers(100).iter().sum::<u64>());
-        assert!(t.matches(&[PhaseKind::Solve]), "below the floor: no divide");
+        assert_eq!(
+            alg.kinds(),
+            [PhaseKind::Solve],
+            "below the floor: no divide"
+        );
     }
 
     #[test]
@@ -425,7 +444,7 @@ mod tests {
         assert!(!policy.should_recurse(1, 0));
         assert!(!policy.should_recurse(0, 0));
         assert!(policy.should_recurse(2, 0));
-        let got = run_shared(&TreeSum, vec![7], &policy, ExecutionMode::Sequential, None);
+        let got = run_shared(&TreeSum, vec![7], &policy, ExecutionMode::Sequential);
         assert_eq!(got, 7);
     }
 
@@ -468,27 +487,26 @@ mod tests {
     fn rank0_spmd_trace_walks_its_root_path() {
         use PhaseKind::{Merge, Recurse, Solve};
         let input = numbers(200);
-        let out = run_spmd(8, MachineModel::ibm_sp(), move |ctx| {
+        let out = run_spmd_with(8, MachineModel::ibm_sp(), RunConfig::traced(), move |ctx| {
             let inp = (ctx.rank() == 0).then(|| input.clone());
-            let t = PhaseTrace::new();
-            run_spmd_recursive(
-                &TreeSum,
-                ctx,
-                inp,
-                &CutoffPolicy::exact_depth(3, 2),
-                Some(&t),
-            );
-            t.kinds()
+            run_spmd_recursive(&TreeSum, ctx, inp, &CutoffPolicy::exact_depth(3, 2), None);
         });
+        let trace = out.trace.expect("traced");
+        let kinds = |r: usize| -> Vec<PhaseKind> {
+            trace.ranks[r]
+                .phases()
+                .filter_map(PhaseKind::from_name)
+                .collect()
+        };
         // Rank 0 is the root at every level: it recurses three times,
         // solves its leaf, then merges on the way back up.
         assert_eq!(
-            out.results[0],
+            kinds(0),
             vec![Recurse, Recurse, Recurse, Solve, Merge, Merge, Merge]
         );
         // Rank 7 descends with its groups but roots none of them until its
         // own singleton leaf.
-        assert_eq!(out.results[7], vec![Recurse, Recurse, Recurse, Solve]);
+        assert_eq!(kinds(7), vec![Recurse, Recurse, Recurse, Solve]);
     }
 
     #[test]

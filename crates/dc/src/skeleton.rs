@@ -26,7 +26,7 @@
 //! Equality of the three executions is the paper's semantics-preservation
 //! claim, asserted by this crate's tests for every application.
 
-use archetype_core::{parfor_map, parfor_map_vec, ExecutionMode, PhaseKind, PhaseTrace};
+use archetype_core::{parfor_map, parfor_map_vec, ExecutionMode, PhaseKind};
 use archetype_mp::{Ctx, Payload};
 
 /// A problem expressed in one-deep divide-and-conquer form.
@@ -157,23 +157,15 @@ pub fn transpose<T>(rows: Vec<Vec<T>>) -> Vec<Vec<T>> {
 /// use archetype_dc::{run_shared, OneDeepMergesort};
 ///
 /// let alg = OneDeepMergesort::<i64>::new();
-/// let out = run_shared(&alg, vec![vec![3, 1], vec![2]], ExecutionMode::Sequential, None);
+/// let out = run_shared(&alg, vec![vec![3, 1], vec![2]], ExecutionMode::Sequential);
 /// let flat: Vec<i64> = out.into_iter().flatten().collect();
 /// assert_eq!(flat, vec![1, 2, 3]);
 /// ```
-pub fn run_shared<A: OneDeep>(
-    alg: &A,
-    inputs: Vec<A::In>,
-    mode: ExecutionMode,
-    trace: Option<&PhaseTrace>,
-) -> Vec<A::Out> {
+pub fn run_shared<A: OneDeep>(alg: &A, inputs: Vec<A::In>, mode: ExecutionMode) -> Vec<A::Out> {
     let n = inputs.len();
     assert!(n > 0, "need at least one block");
 
     // Split phase.
-    if let Some(t) = trace {
-        t.record(PhaseKind::Split, "compute split parameters and partition");
-    }
     let samples = parfor_map(mode, n, |i| alg.split_sample(&inputs[i]));
     let sparams = alg.split_params(&samples, n);
     let partitioned = parfor_map_vec(mode, inputs, |i, local| {
@@ -183,18 +175,9 @@ pub fn run_shared<A: OneDeep>(
     let locals = parfor_map_vec(mode, exchanged, |_i, pieces| alg.split_assemble(pieces));
 
     // Solve phase.
-    if let Some(t) = trace {
-        t.record(PhaseKind::Solve, "independent local solves");
-    }
     let mids = parfor_map_vec(mode, locals, |_i, local| alg.solve(local));
 
     // Merge phase.
-    if let Some(t) = trace {
-        t.record(
-            PhaseKind::Merge,
-            "compute merge parameters, repartition, merge locally",
-        );
-    }
     let msamples = parfor_map(mode, n, |i| alg.merge_sample(&mids[i]));
     let mparams = alg.merge_params(&msamples, n);
     let repartitioned = parfor_map_vec(mode, mids, |i, local| {
@@ -210,7 +193,8 @@ pub fn run_shared<A: OneDeep>(
 /// Split/merge parameters are computed redundantly in every process from
 /// all-gathered samples (one of the strategies in paper §2.2); data moves
 /// via all-to-all exchanges. Compute phases are charged to the virtual
-/// clock through the algorithm's `*_cost` hooks.
+/// clock through the algorithm's `*_cost` hooks, and every rank stamps
+/// `Split`, `Solve` and `Merge` into a traced run as it enters them.
 pub fn run_spmd<A>(alg: &A, ctx: &mut Ctx, local: A::In) -> A::Out
 where
     A: OneDeep,
@@ -223,6 +207,7 @@ where
     let me = ctx.rank();
 
     // Split phase: samples -> (replicated) parameters -> all-to-all.
+    ctx.trace_phase(PhaseKind::Split.name(), "split params, all-to-all");
     ctx.charge_flops(alg.split_cost(&local));
     let samples = ctx.all_gather(alg.split_sample(&local));
     let sparams = alg.split_params(&samples, n);
@@ -232,10 +217,12 @@ where
     let local = alg.split_assemble(received);
 
     // Solve phase.
+    ctx.trace_phase(PhaseKind::Solve.name(), "local solve");
     ctx.charge_flops(alg.solve_cost(&local));
     let mid = alg.solve(local);
 
     // Merge phase: samples -> (replicated) parameters -> all-to-all -> merge.
+    ctx.trace_phase(PhaseKind::Merge.name(), "merge params, all-to-all");
     ctx.charge_flops(alg.merge_partition_cost(&mid));
     let msamples = ctx.all_gather(alg.merge_sample(&mid));
     let mparams = alg.merge_params(&msamples, n);
@@ -335,13 +322,8 @@ mod tests {
     #[test]
     fn shared_modes_agree() {
         for n in [1usize, 2, 3, 5, 8] {
-            let seq = run_shared(
-                &ResidueRoute,
-                toy_inputs(n),
-                ExecutionMode::Sequential,
-                None,
-            );
-            let par = run_shared(&ResidueRoute, toy_inputs(n), ExecutionMode::Parallel, None);
+            let seq = run_shared(&ResidueRoute, toy_inputs(n), ExecutionMode::Sequential);
+            let par = run_shared(&ResidueRoute, toy_inputs(n), ExecutionMode::Parallel);
             assert_eq!(seq, par, "n={n}");
         }
     }
@@ -350,12 +332,7 @@ mod tests {
     fn spmd_agrees_with_shared() {
         use archetype_mp::{run_spmd as mp_run, MachineModel};
         for n in [1usize, 2, 4, 7] {
-            let shared = run_shared(
-                &ResidueRoute,
-                toy_inputs(n),
-                ExecutionMode::Sequential,
-                None,
-            );
+            let shared = run_shared(&ResidueRoute, toy_inputs(n), ExecutionMode::Sequential);
             let inputs = toy_inputs(n);
             let spmd = mp_run(n, MachineModel::ibm_sp(), |ctx| {
                 let local = inputs[ctx.rank()].clone();
@@ -368,7 +345,7 @@ mod tests {
     #[test]
     fn every_output_block_holds_one_residue_class() {
         let n = 4;
-        let out = run_shared(&ResidueRoute, toy_inputs(n), ExecutionMode::Parallel, None);
+        let out = run_shared(&ResidueRoute, toy_inputs(n), ExecutionMode::Parallel);
         for (i, block) in out.iter().enumerate() {
             assert!(block.iter().all(|v| (*v % n as u64) as usize == i));
             assert!(block.windows(2).all(|w| w[0] <= w[1]));
@@ -376,14 +353,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_split_solve_merge() {
-        let trace = PhaseTrace::new();
-        run_shared(
-            &ResidueRoute,
-            toy_inputs(2),
-            ExecutionMode::Sequential,
-            Some(&trace),
-        );
-        assert!(trace.matches(&[PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]));
+    fn every_rank_stamps_split_solve_merge() {
+        use archetype_mp::{run_spmd_with, MachineModel, RunConfig};
+        let inputs = toy_inputs(3);
+        let out = run_spmd_with(3, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
+            let local = inputs[ctx.rank()].clone();
+            run_spmd(&ResidueRoute, ctx, local)
+        });
+        for rank in &out.trace.expect("traced").ranks {
+            let phases: Vec<&str> = rank.phases().collect();
+            assert_eq!(phases, ["split", "solve", "merge"], "rank {}", rank.rank);
+        }
     }
 }

@@ -270,7 +270,7 @@ mod tests {
             let input = building_blocks(n, 60);
             let all: Vec<Building> = input.iter().flatten().copied().collect();
             let expected = sequential_skyline(&all);
-            let out = run_shared(&OneDeepSkyline, input, ExecutionMode::Sequential, None);
+            let out = run_shared(&OneDeepSkyline, input, ExecutionMode::Sequential);
             assert_eq!(concat_skyline(&out), expected, "n={n}");
         }
     }
@@ -280,18 +280,8 @@ mod tests {
         let input = building_blocks(4, 40);
         let all: Vec<Building> = input.iter().flatten().copied().collect();
         let expected = sequential_skyline(&all);
-        let seq = run_shared(
-            &OneDeepSkyline,
-            input.clone(),
-            ExecutionMode::Sequential,
-            None,
-        );
-        let par = run_shared(
-            &OneDeepSkyline,
-            input.clone(),
-            ExecutionMode::Parallel,
-            None,
-        );
+        let seq = run_shared(&OneDeepSkyline, input.clone(), ExecutionMode::Sequential);
+        let par = run_shared(&OneDeepSkyline, input.clone(), ExecutionMode::Parallel);
         assert_eq!(seq, par);
         let spmd = mp_run(4, MachineModel::ibm_sp(), |ctx| {
             run_spmd(&OneDeepSkyline, ctx, input[ctx.rank()].clone())
@@ -306,12 +296,11 @@ mod tests {
             &OneDeepSkyline,
             vec![vec![], vec![]],
             ExecutionMode::Sequential,
-            None,
         );
         assert!(concat_skyline(&out).is_empty());
 
         let one = vec![vec![b(0.0, 1.0, 1.0)], vec![]];
-        let out = run_shared(&OneDeepSkyline, one, ExecutionMode::Sequential, None);
+        let out = run_shared(&OneDeepSkyline, one, ExecutionMode::Sequential);
         assert_eq!(
             concat_skyline(&out),
             vec![SkyPoint::new(0.0, 1.0), SkyPoint::new(1.0, 0.0)]
@@ -328,7 +317,7 @@ mod tests {
         ];
         let all: Vec<Building> = input.iter().flatten().copied().collect();
         let expected = sequential_skyline(&all);
-        let out = run_shared(&OneDeepSkyline, input, ExecutionMode::Parallel, None);
+        let out = run_shared(&OneDeepSkyline, input, ExecutionMode::Parallel);
         assert_eq!(concat_skyline(&out), expected);
     }
 }

@@ -171,6 +171,11 @@ pub struct FtSpmdResult<R> {
     /// Measured wall-clock time of the run (dispatch to last rank done),
     /// in microseconds, as in [`SpmdResult::wall_us`].
     pub wall_us: u64,
+    /// Event streams of the ranks that survived a traced run
+    /// ([`RunConfig::traced`]), in rank order; empty for untraced runs.
+    /// A crashed rank's recorder dies with its unwind, so its stream is
+    /// missing here.
+    pub traces: Vec<RankTrace>,
 }
 
 impl<R> FtSpmdResult<R> {
@@ -780,34 +785,34 @@ where
 /// as every other run, so recovery is validated on the measured
 /// transport.
 ///
-/// Fault-injected runs do not report traces: [`FtSpmdResult`] has no
-/// trace field, and a crashed rank's recorder dies with its unwind.
+/// `config` is honoured as by [`run_spmd_with`], except that the leak
+/// check never panics: leaked messages are reported in
+/// [`FtSpmdResult::leaked_messages`]. A traced run returns the surviving
+/// ranks' event streams in [`FtSpmdResult::traces`].
 pub fn run_spmd_ft<F, R>(
     nprocs: usize,
     model: MachineModel,
     plan: FaultPlan,
+    config: RunConfig,
     body: F,
 ) -> FtSpmdResult<R>
 where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    let (outcomes, leaked, wall_us) = run_inner_result(
-        nprocs,
-        model,
-        Some(Arc::new(plan)),
-        body,
-        RunConfig::default(),
-    );
+    let (outcomes, leaked, wall_us) =
+        run_inner_result(nprocs, model, Some(Arc::new(plan)), body, config);
     let mut results = Vec::with_capacity(nprocs);
     let mut rank_times = Vec::with_capacity(nprocs);
     let mut per_rank = Vec::with_capacity(nprocs);
+    let mut traces = Vec::new();
     for outcome in outcomes {
         match outcome {
-            Ok((r, now, stats, _trace)) => {
+            Ok((r, now, stats, trace)) => {
                 results.push(Ok(r));
                 rank_times.push(now);
                 per_rank.push(stats);
+                traces.extend(trace);
             }
             Err(failure) => {
                 rank_times.push(failure.clock);
@@ -824,6 +829,7 @@ where
         stats: RunStats { per_rank },
         leaked_messages: leaked,
         wall_us,
+        traces,
     }
 }
 
@@ -976,7 +982,13 @@ mod tests {
             (s, ctx.now())
         };
         let plain = run_spmd(5, MachineModel::ibm_sp(), body);
-        let ft = run_spmd_ft(5, MachineModel::ibm_sp(), FaultPlan::new(7), body);
+        let ft = run_spmd_ft(
+            5,
+            MachineModel::ibm_sp(),
+            FaultPlan::new(7),
+            RunConfig::default(),
+            body,
+        );
         assert!(ft.all_ok());
         assert_eq!(ft.leaked_messages, 0);
         let results: Vec<_> = ft.results.into_iter().map(Result::unwrap).collect();
@@ -985,6 +997,29 @@ mod tests {
         // Five ranks rendezvousing through an all-reduce and a barrier
         // take host time; the field must carry it, not a placeholder.
         assert!(ft.wall_us > 0, "fault-injected runs measure wall time");
+        assert!(ft.traces.is_empty(), "untraced runs carry no streams");
+    }
+
+    #[test]
+    fn traced_ft_runs_return_the_survivors_streams() {
+        use crate::fault::CrashSite;
+        let plan = FaultPlan::new(3).crash(2, CrashSite::Phase(0));
+        let out = run_spmd_ft(
+            4,
+            MachineModel::ibm_sp(),
+            plan,
+            RunConfig::traced(),
+            |ctx| {
+                ctx.fault_point();
+                ctx.trace_phase("work", "after the crash point");
+                ctx.rank()
+            },
+        );
+        let ranks: Vec<usize> = out.traces.iter().map(|t| t.rank).collect();
+        assert_eq!(ranks, vec![0, 1, 3], "rank 2 crashed; the others report");
+        for t in &out.traces {
+            assert_eq!(t.phases().collect::<Vec<_>>(), vec!["work"]);
+        }
     }
 
     #[test]

@@ -155,8 +155,8 @@ pub enum TraceEvent {
         /// Wall-clock offset (ns since dispatch).
         wall_ns: u64,
     },
-    /// Entry into an archetype protocol phase (the unified form of the
-    /// per-archetype `PhaseTrace` recording).
+    /// Entry into an archetype protocol phase: the one record of which
+    /// phases a rank ran, checked against the archetype grammars.
     Phase {
         /// Phase kind name (`"work"`, `"transform"`, …) — the archetype
         /// layer's `PhaseKind::name()`.
@@ -298,6 +298,15 @@ impl RankTrace {
     /// stream that repeated same-seed runs reproduce bit-identically.
     pub fn logical_events(&self) -> Vec<TraceEvent> {
         self.events.iter().map(|e| e.logical()).collect()
+    }
+
+    /// The `kind` names of the rank's phase events, in recording order —
+    /// the sequence the archetype grammars check.
+    pub fn phases(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.events.iter().filter_map(|e| match e {
+            TraceEvent::Phase { kind, .. } => Some(*kind),
+            _ => None,
+        })
     }
 }
 

@@ -57,7 +57,7 @@
 //! send/receive site mid-protocol — remains unrecoverable and surfaces
 //! as typed per-rank failures.
 
-use archetype_core::{PhaseKind, PhaseTrace};
+use archetype_core::PhaseKind;
 use archetype_mp::tags::{pipe_tag, PipeTag};
 use archetype_mp::{impl_fixed_size, Ctx, MachineModel, Payload};
 
@@ -682,22 +682,16 @@ fn probe_stage_secs<P: Pipeline>(
 /// every rank of the run (collectively, like the other archetype
 /// drivers). Returns the folded output and globally combined statistics
 /// — identical on every rank, and identical across repeated runs.
+///
+/// A traced run records on every rank the phases it performs. Rank 0's
+/// stream is a sentence of the pipeline grammar: Ingest, one
+/// Detect/Recover pair per scheduled replica death, Drain, and Emit when
+/// the folded output reaches it (at p = 1, Ingest, Transform, Drain and
+/// Emit around the fused loop).
 pub fn run_pipeline<P: Pipeline>(
     pipe: &P,
     ctx: &mut Ctx,
     config: PipelineConfig,
-) -> (P::Out, PipelineStats) {
-    run_pipeline_traced(pipe, ctx, config, None)
-}
-
-/// [`run_pipeline`] with phase tracing: rank 0 records the derived
-/// dataflow (Ingest, one Transform per segment, Drain, Emit) into
-/// `trace` so tests can grammar-check the archetype's pattern.
-pub fn run_pipeline_traced<P: Pipeline>(
-    pipe: &P,
-    ctx: &mut Ctx,
-    config: PipelineConfig,
-    trace: Option<&PhaseTrace>,
 ) -> (P::Out, PipelineStats) {
     let p = ctx.nprocs();
     let me = ctx.rank();
@@ -738,41 +732,11 @@ pub fn run_pipeline_traced<P: Pipeline>(
         stats.replicas = plan.transform_ranks as u64;
         stats.idle_ranks = plan.idle as u64;
         stats.failovers = scheduled_deaths;
-        if let Some(t) = trace {
-            t.record(PhaseKind::Ingest, "stream source");
-            if plan.fused_on_emit || (p == 1 && s_count > 0) {
-                t.record(PhaseKind::Transform, "all stages fused");
-            }
-            for seg in &plan.segments {
-                t.record(
-                    PhaseKind::Transform,
-                    format!(
-                        "stages {}..{} x{} replica(s)",
-                        seg.stages.0, seg.stages.1, seg.replicas
-                    ),
-                );
-            }
-            for (l, deaths) in level_deaths.iter().enumerate() {
-                for (j, d) in deaths.iter().enumerate() {
-                    if let Some(k) = d {
-                        t.record(
-                            PhaseKind::Detect,
-                            format!("rank {} (level {l}) dies after {k} item(s)", levels[l][j]),
-                        );
-                        t.record(
-                            PhaseKind::Recover,
-                            "its share re-routed to the next live replica",
-                        );
-                    }
-                }
-            }
-            t.record(PhaseKind::Drain, "end-of-stream wave + credit reclaim");
-            t.record(PhaseKind::Emit, "in-order fold, output broadcast");
-        }
     }
 
     // --- Single rank: the whole chain runs message-free. ------------------
     if p == 1 {
+        ctx.trace_phase(PhaseKind::Ingest.name(), "stream source");
         ctx.trace_phase(PhaseKind::Transform.name(), "all stages fused");
         let mut acc = pipe.out_identity();
         let mut seq = 0u64;
@@ -788,6 +752,8 @@ pub fn run_pipeline_traced<P: Pipeline>(
             stats.items += 1;
             seq += 1;
         }
+        ctx.trace_phase(PhaseKind::Drain.name(), "end of stream");
+        ctx.trace_phase(PhaseKind::Emit.name(), "output folded");
         return (acc, stats);
     }
 
@@ -813,6 +779,19 @@ pub fn run_pipeline_traced<P: Pipeline>(
             ctx.charge_flops(pipe.ingest_flops(&item));
             out.send_item(ctx, &mut stats, seq, item);
             seq += 1;
+        }
+        if ctx.is_traced() {
+            // One Detect/Recover pair per scheduled replica death; every
+            // router re-routes the dead replica's share to a survivor.
+            for (l, deaths) in level_deaths.iter().enumerate() {
+                for (j, k) in deaths.iter().enumerate() {
+                    if let Some(k) = k {
+                        let label = format!("rank {} dies at item {k}", levels[l][j]);
+                        ctx.trace_phase(PhaseKind::Detect.name(), &label);
+                        ctx.trace_phase(PhaseKind::Recover.name(), "share re-routed");
+                    }
+                }
+            }
         }
         ctx.trace_phase(PhaseKind::Drain.name(), "end-of-stream wave");
         out.finish(ctx, seq);
@@ -889,6 +868,9 @@ pub fn run_pipeline_traced<P: Pipeline>(
     if scheduled_deaths == 0 {
         // --- Finale: share the output, combine the statistics. ------------
         let out = ctx.broadcast(p - 1, acc);
+        if me == 0 {
+            ctx.trace_phase(PhaseKind::Emit.name(), "output received");
+        }
         let stats = ctx.all_reduce(stats, PipelineStats::combine);
         return (out, stats);
     }
@@ -934,6 +916,9 @@ pub fn run_pipeline_traced<P: Pipeline>(
     } else {
         ctx.send(p - 1, fin, stats);
         let out: P::Out = ctx.recv(p - 1, fin);
+        if me == 0 {
+            ctx.trace_phase(PhaseKind::Emit.name(), "output received");
+        }
         let stats: PipelineStats = ctx.recv(p - 1, fin);
         (out, stats)
     }
@@ -959,8 +944,12 @@ pub fn run_sequential<P: Pipeline>(pipe: &P) -> (P::Out, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archetype_core::archetype::PIPELINE;
-    use archetype_mp::{run_spmd, MachineModel};
+    use archetype_core::archetype::{PatternExpr, PIPELINE};
+    use archetype_mp::{run_spmd, run_spmd_with, MachineModel, RankTrace, RunConfig};
+
+    fn kinds(rank: &RankTrace) -> Vec<PhaseKind> {
+        rank.phases().filter_map(PhaseKind::from_name).collect()
+    }
 
     /// Sum of squares as a two-stage chain — the simplest pipeline.
     struct Squares(u64);
@@ -1267,13 +1256,12 @@ mod tests {
     #[test]
     fn phase_trace_is_accepted_by_the_pipeline_grammar() {
         for p in [1usize, 2, 4, 8] {
-            let trace = PhaseTrace::new();
-            run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-                run_pipeline_traced(&Squares(20), ctx, PipelineConfig::default(), Some(&trace)).0
+            let out = run_spmd_with(p, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
+                run_pipeline(&Squares(20), ctx, PipelineConfig::default()).0
             });
-            let kinds = trace.kinds();
+            let kinds = kinds(&out.trace.expect("traced").ranks[0]);
             assert!(
-                PIPELINE.grammar.matches(&kinds),
+                PatternExpr::from_static(&PIPELINE.grammar).matches(&kinds),
                 "p={p}: {kinds:?} rejected by the pipeline grammar"
             );
             assert!(kinds.iter().all(|k| PIPELINE.phases.contains(k)));
@@ -1318,13 +1306,21 @@ mod tests {
         use archetype_mp::{run_spmd_ft, CrashSite, FaultPlan};
         // p=8 on Lopsided gives the heavy segment several replicas; kill
         // one of them mid-stream and compare against an inert plan.
-        let clean = run_spmd_ft(8, MachineModel::ibm_sp(), FaultPlan::new(4), |ctx| {
-            run_pipeline(&Lopsided(64), ctx, PipelineConfig::default())
-        });
+        let clean = run_spmd_ft(
+            8,
+            MachineModel::ibm_sp(),
+            FaultPlan::new(4),
+            RunConfig::default(),
+            |ctx| run_pipeline(&Lopsided(64), ctx, PipelineConfig::default()),
+        );
         let plan = FaultPlan::new(4).crash(3, CrashSite::Phase(5));
-        let faulty = run_spmd_ft(8, MachineModel::ibm_sp(), plan, |ctx| {
-            run_pipeline(&Lopsided(64), ctx, PipelineConfig::default())
-        });
+        let faulty = run_spmd_ft(
+            8,
+            MachineModel::ibm_sp(),
+            plan,
+            RunConfig::default(),
+            |ctx| run_pipeline(&Lopsided(64), ctx, PipelineConfig::default()),
+        );
         let (clean_out, _) = clean.results[0].as_ref().expect("clean run");
         let failure = faulty.results[3].as_ref().expect_err("rank 3 crashed");
         assert!(failure.injected);
@@ -1347,9 +1343,13 @@ mod tests {
             // Kill the first transform replica after 3 items: the
             // concatenated fold string detects any reordering or loss.
             let plan = FaultPlan::new(p as u64).crash(1, CrashSite::Phase(3));
-            let out = run_spmd_ft(p, MachineModel::cray_t3d(), plan, |ctx| {
-                run_pipeline(&HeavyOrdered(60), ctx, PipelineConfig::default()).0
-            });
+            let out = run_spmd_ft(
+                p,
+                MachineModel::cray_t3d(),
+                plan,
+                RunConfig::default(),
+                |ctx| run_pipeline(&HeavyOrdered(60), ctx, PipelineConfig::default()).0,
+            );
             assert_eq!(out.leaked_messages, 0, "p={p}");
             for (rank, res) in out.results.iter().enumerate() {
                 match res {
@@ -1370,9 +1370,13 @@ mod tests {
         // Phase(0): the replica dies before receiving a single item; its
         // whole share lands on the other replica of its level.
         let plan = FaultPlan::new(2).crash(2, CrashSite::Phase(0));
-        let out = run_spmd_ft(6, MachineModel::ibm_sp(), plan, |ctx| {
-            run_pipeline(&HeavyOrdered(30), ctx, PipelineConfig::default()).0
-        });
+        let out = run_spmd_ft(
+            6,
+            MachineModel::ibm_sp(),
+            plan,
+            RunConfig::default(),
+            |ctx| run_pipeline(&HeavyOrdered(30), ctx, PipelineConfig::default()).0,
+        );
         assert_eq!(out.leaked_messages, 0);
         for (rank, res) in out.results.iter().enumerate() {
             match res {
@@ -1388,17 +1392,24 @@ mod tests {
     #[test]
     fn failover_trace_conforms_to_the_extended_grammar() {
         use archetype_mp::{run_spmd_ft, CrashSite, FaultPlan};
-        let trace = PhaseTrace::new();
         let plan = FaultPlan::new(6).crash(2, CrashSite::Phase(2));
-        run_spmd_ft(6, MachineModel::ibm_sp(), plan, |ctx| {
-            let t = if ctx.rank() == 0 { Some(&trace) } else { None };
-            run_pipeline_traced(&HeavyOrdered(40), ctx, PipelineConfig::default(), t).0
-        });
-        let kinds = trace.kinds();
-        assert!(kinds.contains(&PhaseKind::Detect));
+        let out = run_spmd_ft(
+            6,
+            MachineModel::ibm_sp(),
+            plan,
+            RunConfig::traced(),
+            |ctx| run_pipeline(&HeavyOrdered(40), ctx, PipelineConfig::default()).0,
+        );
+        assert_eq!(out.traces[0].rank, 0, "the ingest rank survives");
+        let kinds = kinds(&out.traces[0]);
+        assert_eq!(
+            kinds.iter().filter(|&&k| k == PhaseKind::Detect).count(),
+            1,
+            "one scheduled death, one detection"
+        );
         assert!(kinds.contains(&PhaseKind::Recover));
         assert!(
-            PIPELINE.grammar.matches(&kinds),
+            PatternExpr::from_static(&PIPELINE.grammar).matches(&kinds),
             "{kinds:?} rejected by the pipeline grammar"
         );
     }

@@ -35,7 +35,6 @@ fn main() {
                     par: mode,
                     ..ComposeConfig::default()
                 },
-                None,
             )
         })
     };

@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --example knapsack_hunt --release`
 
-use parallel_archetypes::bnb::{
-    knapsack_dp, solve_farm, solve_sequential, solve_shared, solve_spmd, Knapsack,
-};
+use parallel_archetypes::bnb::{knapsack_dp, solve_farm, solve_sequential, solve_shared, Knapsack};
 use parallel_archetypes::farm::FarmConfig;
 use parallel_archetypes::mp::{run_spmd, MachineModel};
 
@@ -45,23 +43,9 @@ fn main() {
     let best_shared = solve_shared(&problem);
     println!("rayon parallel search:   {best_shared}  (nondeterministic order, same optimum)");
 
-    for p in [2usize, 4, 8] {
-        let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-            solve_spmd(&Knapsack::new(&items, capacity), ctx, 64)
-        });
-        let total_expanded: u64 = out.results.iter().map(|(_, s)| s.expanded).sum();
-        println!(
-            "SPMD on {p} processes:     {}  ({} nodes total, {:.1} ms virtual)",
-            out.results[0].0,
-            total_expanded,
-            out.elapsed_virtual * 1e3
-        );
-        assert!(out.results.iter().all(|(v, _)| *v == oracle as f64));
-    }
-
-    // The same search as a task-farm archetype instance: the skeleton
-    // supplies best-first queueing, incumbent sharing, work stealing,
-    // and wave-based termination.
+    // The distributed search is a task-farm archetype instance: the
+    // skeleton supplies best-first queueing, incumbent sharing, work
+    // stealing, and wave-based termination.
     for p in [2usize, 4, 8] {
         let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
             solve_farm(&Knapsack::new(&items, capacity), ctx, FarmConfig::default())

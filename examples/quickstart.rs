@@ -29,7 +29,7 @@ fn main() {
     let alg = OneDeepMergesort::<i64>::new();
 
     // --- Version 1, sequential: parfor loops run as for loops. ----------
-    let v1_seq = run_shared(&alg, blocks.clone(), ExecutionMode::Sequential, None);
+    let v1_seq = run_shared(&alg, blocks.clone(), ExecutionMode::Sequential);
     println!(
         "version 1 (sequential): {} blocks, total {} items, first block [{}..={}]",
         v1_seq.len(),
@@ -39,7 +39,7 @@ fn main() {
     );
 
     // --- Version 1, parallel: same program on the rayon pool. ------------
-    let v1_par = run_shared(&alg, blocks.clone(), ExecutionMode::Parallel, None);
+    let v1_par = run_shared(&alg, blocks.clone(), ExecutionMode::Parallel);
     println!(
         "version 1 (parallel):   identical to sequential: {}",
         v1_seq == v1_par

@@ -17,7 +17,7 @@
 //!
 //! Run with: `cargo run --example recursive_sort --release`
 
-use parallel_archetypes::core::{ExecutionMode, PhaseTrace};
+use parallel_archetypes::core::ExecutionMode;
 use parallel_archetypes::dc::perfmodel::{recursion_policy, sort_recursion_cutoff};
 use parallel_archetypes::dc::skeleton::run_spmd as one_deep_spmd;
 use parallel_archetypes::dc::{
@@ -53,20 +53,10 @@ fn main() {
         sort_recursion_cutoff(&model, 8)
     );
 
-    // Shared-memory recursion, traced.
-    let trace = PhaseTrace::new();
-    let shared = run_shared_recursive(
-        &alg,
-        data.clone(),
-        &policy,
-        ExecutionMode::Parallel,
-        Some(&trace),
-    );
+    // Shared-memory recursion.
+    let shared = run_shared_recursive(&alg, data.clone(), &policy, ExecutionMode::Parallel);
     assert_eq!(shared, expected);
-    println!(
-        "shared-memory fork/join recursion: sorted, {} recursion nodes",
-        trace.count(parallel_archetypes::core::PhaseKind::Merge)
-    );
+    println!("shared-memory fork/join recursion: sorted");
 
     // SPMD recursion on nested groups across process counts.
     println!("\n  p   recursive (virtual ms)   speedup   one-deep (ms)");

@@ -64,7 +64,7 @@ fn main() {
     let all: Vec<Building> = inputs.iter().flatten().copied().collect();
     println!("{} buildings across {} processes", all.len(), nblocks);
 
-    let out = run_shared(&OneDeepSkyline, inputs, ExecutionMode::Parallel, None);
+    let out = run_shared(&OneDeepSkyline, inputs, ExecutionMode::Parallel);
     let sky = concat_skyline(&out);
     let reference = sequential_skyline(&all);
     println!(

@@ -40,7 +40,7 @@
 //!
 //! let alg = OneDeepMergesort::<i64>::new();
 //! let blocks = vec![vec![5, 2, 9], vec![1, 8], vec![7, 3]];
-//! let sorted = run_shared(&alg, blocks, ExecutionMode::Parallel, None);
+//! let sorted = run_shared(&alg, blocks, ExecutionMode::Parallel);
 //! let flat: Vec<i64> = sorted.into_iter().flatten().collect();
 //! assert_eq!(flat, vec![1, 2, 3, 5, 7, 8, 9]);
 //! ```

@@ -2,42 +2,48 @@
 //! communication discipline — the paper's claim that the archetype is a
 //! checkable design artifact, not just documentation.
 
-use parallel_archetypes::core::{ExecutionMode, PhaseKind, PhaseTrace};
-use parallel_archetypes::dc::skeleton::run_shared;
-use parallel_archetypes::dc::{OneDeepMergesort, OneDeepQuicksort, OneDeepSkyline};
+use parallel_archetypes::core::{ExecutionMode, PhaseKind};
+use parallel_archetypes::dc::skeleton::run_spmd as dc_spmd;
+use parallel_archetypes::dc::{OneDeep, OneDeepMergesort, OneDeepQuicksort, OneDeepSkyline};
 use parallel_archetypes::mesh::GlobalVar;
-use parallel_archetypes::mp::{run_spmd, MachineModel};
+use parallel_archetypes::mp::{run_spmd, run_spmd_with, MachineModel, Payload, RunConfig};
+
+mod logged;
+use logged::Logged;
+
+/// Every rank of a traced two-rank one-deep run stamps Split, Solve,
+/// Merge in that order.
+fn assert_split_solve_merge<A>(alg: &A, blocks: Vec<A::In>)
+where
+    A: OneDeep,
+    A::In: Payload + Clone,
+    A::Mid: Payload,
+    A::SplitSample: Payload + Sync,
+    A::MergeSample: Payload + Sync,
+{
+    let out = run_spmd_with(
+        blocks.len(),
+        MachineModel::ibm_sp(),
+        RunConfig::traced(),
+        |ctx| {
+            dc_spmd(alg, ctx, blocks[ctx.rank()].clone());
+        },
+    );
+    for rank in &out.trace.expect("traced").ranks {
+        let kinds: Vec<PhaseKind> = rank.phases().filter_map(PhaseKind::from_name).collect();
+        assert_eq!(
+            kinds,
+            [PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]
+        );
+    }
+}
 
 #[test]
 fn every_one_deep_application_has_split_solve_merge() {
     let blocks = vec![vec![3i64, 1], vec![2, 4]];
-
-    let t = PhaseTrace::new();
-    run_shared(
-        &OneDeepMergesort::<i64>::new(),
-        blocks.clone(),
-        ExecutionMode::Sequential,
-        Some(&t),
-    );
-    assert!(t.matches(&[PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]));
-
-    let t = PhaseTrace::new();
-    run_shared(
-        &OneDeepQuicksort::<i64>::new(),
-        blocks,
-        ExecutionMode::Sequential,
-        Some(&t),
-    );
-    assert!(t.matches(&[PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]));
-
-    let t = PhaseTrace::new();
-    run_shared(
-        &OneDeepSkyline,
-        vec![vec![], vec![]],
-        ExecutionMode::Sequential,
-        Some(&t),
-    );
-    assert!(t.matches(&[PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]));
+    assert_split_solve_merge(&OneDeepMergesort::<i64>::new(), blocks.clone());
+    assert_split_solve_merge(&OneDeepQuicksort::<i64>::new(), blocks);
+    assert_split_solve_merge(&OneDeepSkyline, vec![vec![], vec![]]);
 }
 
 #[test]
@@ -62,20 +68,20 @@ fn recursive_dc_trace_is_preorder_over_recursive_dc_phases() {
     use parallel_archetypes::dc::{run_shared_recursive, CutoffPolicy, RecursiveMergesort};
     use PhaseKind::{Merge, Recurse, Solve};
 
-    let t = PhaseTrace::new();
+    let alg = Logged::new(RecursiveMergesort::<i64>::new());
     run_shared_recursive(
-        &RecursiveMergesort::<i64>::new(),
+        &alg,
         (0..64i64).rev().collect(),
         &CutoffPolicy::exact_depth(2, 2),
         ExecutionMode::Sequential,
-        Some(&t),
     );
     // Depth-2 binary recursion in deterministic preorder.
-    assert!(
-        t.matches(&[Recurse, Recurse, Solve, Solve, Merge, Recurse, Solve, Solve, Merge, Merge])
+    assert_eq!(
+        alg.kinds(),
+        [Recurse, Recurse, Solve, Solve, Merge, Recurse, Solve, Solve, Merge, Merge]
     );
-    // Every recorded phase kind belongs to the archetype's vocabulary.
-    for kind in t.kinds() {
+    // Every logged phase kind belongs to the archetype's vocabulary.
+    for kind in alg.kinds() {
         assert!(
             RECURSIVE_DC.phases.contains(&kind),
             "{kind} is not a recursive-DC phase"

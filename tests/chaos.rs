@@ -9,9 +9,11 @@
 use proptest::prelude::*;
 
 use parallel_archetypes::compose::{run_plan, try_run_plan, ArchetypeJob, Plan, PlanError, Value};
-use parallel_archetypes::core::{ArchetypeInfo, PhaseTrace};
+use parallel_archetypes::core::ArchetypeInfo;
 use parallel_archetypes::farm::{run_farm, run_farm_ft, Farm, FarmConfig, FtFarmConfig, WorkScope};
-use parallel_archetypes::mp::{run_spmd, run_spmd_ft, CrashSite, Ctx, FaultPlan, MachineModel};
+use parallel_archetypes::mp::{
+    run_spmd, run_spmd_ft, CrashSite, Ctx, FaultPlan, FtSpmdResult, MachineModel, RunConfig,
+};
 use parallel_archetypes::pipeline::{run_pipeline, Pipeline, PipelineConfig, Stage};
 
 // ---------------------------------------------------------------------------
@@ -106,7 +108,7 @@ impl ArchetypeJob for Scale {
     fn estimate_flops(&self, _input: &Value) -> f64 {
         1.0
     }
-    fn run(&self, _ctx: &mut Ctx, input: Value, _trace: Option<&PhaseTrace>) -> Value {
+    fn run(&self, _ctx: &mut Ctx, input: Value) -> Value {
         match input {
             Value::F64(x) => Value::F64(x * self.0 + 1.0),
             other => panic!("scale expects F64, got {}", other.shape()),
@@ -116,6 +118,47 @@ impl ArchetypeJob for Scale {
 
 fn two_stage_plan() -> Plan {
     Plan::seq(vec![Plan::atom(Scale(3.0)), Plan::atom(Scale(5.0))])
+}
+
+/// Run `body` under `plan` untraced and traced, and assert tracing has no
+/// observer effect: results, failures, clocks, statistics and leak
+/// counts are bit-identical, and only the traced run carries streams —
+/// one per survivor.
+fn assert_traced_matches_untraced<R, F>(p: usize, plan: impl Fn() -> FaultPlan, body: F)
+where
+    R: PartialEq + std::fmt::Debug + Send,
+    F: Fn(&mut Ctx) -> R + Sync,
+{
+    let run = |config: RunConfig| -> FtSpmdResult<R> {
+        run_spmd_ft(p, MachineModel::ibm_sp(), plan(), config, &body)
+    };
+    let plain = run(RunConfig::default());
+    let traced = run(RunConfig::traced());
+    assert_eq!(plain.leaked_messages, traced.leaked_messages);
+    assert_eq!(
+        plain.elapsed_virtual.to_bits(),
+        traced.elapsed_virtual.to_bits()
+    );
+    for (rank, (a, b)) in plain.rank_times.iter().zip(&traced.rank_times).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "rank {rank} clock");
+    }
+    assert_eq!(plain.stats.per_rank, traced.stats.per_rank);
+    for (rank, (a, b)) in plain.results.iter().zip(&traced.results).enumerate() {
+        match (a, b) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "rank {rank} result"),
+            (Err(a), Err(b)) => {
+                assert_eq!(a.message, b.message, "rank {rank} failure");
+                assert_eq!(a.injected, b.injected);
+                assert_eq!(a.clock.to_bits(), b.clock.to_bits());
+                assert_eq!(a.stats, b.stats);
+            }
+            _ => panic!("rank {rank}: tracing changed the outcome kind"),
+        }
+    }
+    assert!(plain.traces.is_empty(), "untraced runs carry no streams");
+    let survivors: Vec<usize> = (0..p).filter(|&r| traced.results[r].is_ok()).collect();
+    let traced_ranks: Vec<usize> = traced.traces.iter().map(|t| t.rank).collect();
+    assert_eq!(traced_ranks, survivors, "one stream per surviving rank");
 }
 
 proptest! {
@@ -139,12 +182,12 @@ proptest! {
         // fire; schedules past the victim's last order simply never do.
         let config = FtFarmConfig { batch: 4, ..FtFarmConfig::default() };
         let noisy = |plan: FaultPlan| plan.drops(drop_prob).duplicates(dup_prob);
-        let clean = run_spmd_ft(p, MachineModel::ibm_sp(), noisy(FaultPlan::new(seed)), move |ctx| {
+        let clean = run_spmd_ft(p, MachineModel::ibm_sp(), noisy(FaultPlan::new(seed)), RunConfig::default(), move |ctx| {
             run_farm_ft(&Spawner(24), ctx, config)
         });
         prop_assert!(clean.all_ok());
         let plan = noisy(FaultPlan::new(seed)).crash(victim, CrashSite::Phase(k));
-        let faulty = run_spmd_ft(p, MachineModel::ibm_sp(), plan, move |ctx| {
+        let faulty = run_spmd_ft(p, MachineModel::ibm_sp(), plan, RunConfig::default(), move |ctx| {
             run_farm_ft(&Spawner(24), ctx, config)
         });
         let (clean_out, _) = clean.results[0].as_ref().expect("clean run");
@@ -173,7 +216,7 @@ proptest! {
         k in 0u64..3,
     ) {
         let plan = FaultPlan::new(seed).crash(0, CrashSite::Send(k));
-        let out = run_spmd_ft(p, MachineModel::ibm_sp(), plan, |ctx| {
+        let out = run_spmd_ft(p, MachineModel::ibm_sp(), plan, RunConfig::default(), |ctx| {
             run_farm_ft(&Spawner(24), ctx, FtFarmConfig::default())
         });
         for (rank, res) in out.results.iter().enumerate() {
@@ -202,7 +245,7 @@ proptest! {
             )
         });
         let plan = FaultPlan::new(seed).delays(delay_prob, delay_secs);
-        let delayed = run_spmd_ft(p, MachineModel::ibm_sp(), plan, |ctx| {
+        let delayed = run_spmd_ft(p, MachineModel::ibm_sp(), plan, RunConfig::default(), |ctx| {
             (
                 run_farm(&Spawner(16), ctx, FarmConfig::default()).0,
                 run_pipeline(&HeavyOrdered(20), ctx, PipelineConfig::default()).0,
@@ -227,11 +270,11 @@ proptest! {
         k in 0u64..16,
         n in 10u64..40,
     ) {
-        let clean = run_spmd_ft(p, MachineModel::ibm_sp(), FaultPlan::new(n), |ctx| {
+        let clean = run_spmd_ft(p, MachineModel::ibm_sp(), FaultPlan::new(n), RunConfig::default(), |ctx| {
             run_pipeline(&HeavyOrdered(n), ctx, PipelineConfig::default()).0
         });
         let plan = FaultPlan::new(n).crash(victim, CrashSite::Phase(k));
-        let faulty = run_spmd_ft(p, MachineModel::ibm_sp(), plan, |ctx| {
+        let faulty = run_spmd_ft(p, MachineModel::ibm_sp(), plan, RunConfig::default(), |ctx| {
             run_pipeline(&HeavyOrdered(n), ctx, PipelineConfig::default()).0
         });
         let clean_out = clean.results[0].as_ref().expect("clean run");
@@ -261,7 +304,7 @@ proptest! {
             run_plan(ctx, &two_stage_plan(), Value::F64(2.0))
         });
         let plan = FaultPlan::new(seed).fail_atom(node, times);
-        let out = run_spmd_ft(p, MachineModel::ibm_sp(), plan, |ctx| {
+        let out = run_spmd_ft(p, MachineModel::ibm_sp(), plan, RunConfig::default(), |ctx| {
             try_run_plan(ctx, &two_stage_plan(), Value::F64(2.0))
         });
         prop_assert_eq!(out.leaked_messages, 0);
@@ -281,6 +324,48 @@ proptest! {
                 });
             }
         }
+    }
+
+    // Tracing a fault-injected run changes nothing it computes: the
+    // crash/drop/dup/delay schedules of the FT farm, pipeline failover
+    // and compose retries give the same outcome traced and untraced.
+    #[test]
+    fn traced_chaos_runs_match_untraced_runs(
+        seed in any::<u64>(),
+        p in 6usize..8,
+        victim_pick in 0usize..8,
+        k in 0u64..5,
+        drop_prob in 0.0f64..0.25,
+        dup_prob in 0.0f64..0.25,
+        delay_prob in 0.0f64..0.3,
+        times in 0u32..6,
+    ) {
+        let victim = 1 + victim_pick % (p - 1);
+        let config = FtFarmConfig { batch: 4, ..FtFarmConfig::default() };
+        assert_traced_matches_untraced(
+            p,
+            || {
+                FaultPlan::new(seed)
+                    .drops(drop_prob)
+                    .duplicates(dup_prob)
+                    .delays(delay_prob, 1e-4)
+                    .crash(victim, CrashSite::Phase(k))
+            },
+            |ctx| {
+                let (out, stats) = run_farm_ft(&Spawner(24), ctx, config);
+                (out.to_bits(), stats)
+            },
+        );
+        assert_traced_matches_untraced(
+            p,
+            || FaultPlan::new(seed).crash(1 + victim_pick % 2, CrashSite::Phase(k)),
+            |ctx| run_pipeline(&HeavyOrdered(24), ctx, PipelineConfig::default()).0,
+        );
+        assert_traced_matches_untraced(
+            p,
+            || FaultPlan::new(seed).fail_atom(1 + k % 2, times),
+            |ctx| try_run_plan(ctx, &two_stage_plan(), Value::F64(2.0)),
+        );
     }
 
     // The whole point of seeded chaos: any fault schedule replays
@@ -303,7 +388,7 @@ proptest! {
                 .delays(delay_prob, 1e-4)
                 .crash(victim, CrashSite::Phase(k))
         };
-        let run = || run_spmd_ft(p, MachineModel::cray_t3d(), mk(), |ctx| {
+        let run = || run_spmd_ft(p, MachineModel::cray_t3d(), mk(), RunConfig::default(), |ctx| {
             run_farm_ft(&Spawner(20), ctx, FtFarmConfig::default())
         });
         let a = run();

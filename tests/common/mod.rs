@@ -3,8 +3,9 @@
 use parallel_archetypes::mp::SpmdResult;
 
 /// Run `run` twice and assert the two executions are bit-identical: the
-/// per-rank results (which may bundle traces and statistics), every
-/// rank's final virtual clock, and the elapsed virtual time. This is the
+/// per-rank results (which may bundle statistics), every rank's final
+/// virtual clock, the elapsed virtual time, and — for traced runs — every
+/// rank's logical event stream (wall clocks zeroed). This is the
 /// workspace's determinism snapshot, shared by the per-archetype
 /// equivalence tests so each crate doesn't grow its own copy.
 ///
@@ -32,5 +33,16 @@ where
         b.elapsed_virtual.to_bits(),
         "{label}: elapsed virtual time must be bit-identical"
     );
+    if let (Some(ta), Some(tb)) = (&a.trace, &b.trace) {
+        assert_eq!(ta.ranks.len(), tb.ranks.len());
+        for (ra, rb) in ta.ranks.iter().zip(&tb.ranks) {
+            assert_eq!(
+                ra.logical_events(),
+                rb.logical_events(),
+                "{label}: rank {} event stream must be identical across runs",
+                ra.rank
+            );
+        }
+    }
     a
 }

@@ -1,40 +1,60 @@
-//! Cross-archetype conformance suite: every `PhaseTrace` an archetype
-//! skeleton emits must be *accepted by the archetype's declared phase
-//! grammar* (`ArchetypeInfo::grammar` in `crates/core/src/archetype.rs`),
-//! over random inputs and process counts.
+//! Cross-archetype conformance suite: the phases every archetype
+//! skeleton stamps into a traced run (`Ctx::trace_phase`, read back from
+//! `SpmdResult::trace`) must be *accepted by the archetype's declared
+//! phase grammar* (`ArchetypeInfo::grammar` in
+//! `crates/core/src/archetype.rs`), over random inputs and process
+//! counts.
 //!
 //! This turns the archetype metadata into an enforced contract — the
 //! paper's claim that "the initial archetype-based program is correct by
 //! construction" checked mechanically for all four archetypes of the
 //! taxonomy: divide-and-conquer (one-deep and recursive forms),
-//! mesh-spectral, task-farm, and pipeline.
+//! mesh-spectral, task-farm, and pipeline — plus composed plans, whose
+//! world rank 0 must follow the grammar derived from their members'.
 
 use proptest::prelude::*;
 
 use parallel_archetypes::compose::{
-    forecast_input, forecast_plan, run_plan_traced, ForecastConfig, Plan, SweepJob,
+    forecast_input, forecast_plan, run_plan, ForecastConfig, Plan, SweepJob, Value,
 };
 use parallel_archetypes::core::archetype::{
-    ArchetypeInfo, MESH_SPECTRAL, ONE_DEEP_DC, PIPELINE, RECURSIVE_DC, TASK_FARM,
+    ArchetypeInfo, PatternExpr, MESH_SPECTRAL, ONE_DEEP_DC, PIPELINE, RECURSIVE_DC, TASK_FARM,
 };
-use parallel_archetypes::core::{ExecutionMode, PhaseKind, PhaseTrace};
-use parallel_archetypes::dc::skeleton::run_shared;
+use parallel_archetypes::core::{ExecutionMode, PhaseKind};
+use parallel_archetypes::dc::skeleton::run_spmd as dc_spmd;
 use parallel_archetypes::dc::{
     run_shared_recursive, run_spmd_recursive, CutoffPolicy, OneDeepMergesort, RecursiveMergesort,
 };
 use parallel_archetypes::farm::apps::GridSweepFarm;
-use parallel_archetypes::farm::{run_farm_traced, Farm, FarmConfig, WorkScope};
-use parallel_archetypes::mesh::apps::poisson::{poisson_spmd_traced, sine_problem};
-use parallel_archetypes::mp::{run_spmd, MachineModel, ProcessGrid2};
-use parallel_archetypes::pipeline::{
-    run_pipeline_traced, Pipeline, PipelineConfig, Stage as PipeStage,
-};
+use parallel_archetypes::farm::{run_farm, Farm, FarmConfig, WorkScope};
+use parallel_archetypes::mesh::apps::poisson::{poisson_spmd, sine_problem};
+use parallel_archetypes::mp::{run_spmd_with, Ctx, MachineModel, ProcessGrid2, RunConfig};
+use parallel_archetypes::pipeline::{run_pipeline, Pipeline, PipelineConfig, Stage as PipeStage};
+
+mod logged;
+use logged::Logged;
+
+/// Run `body` traced on `p` ranks and return each rank's phase kinds.
+fn phases<R: Send>(
+    p: usize,
+    model: MachineModel,
+    body: impl Fn(&mut Ctx) -> R + Sync,
+) -> Vec<Vec<PhaseKind>> {
+    let out = run_spmd_with(p, model, RunConfig::traced(), body);
+    let trace = out.trace.expect("traced run");
+    assert_eq!(trace.total_dropped(), 0, "the ring must hold the whole run");
+    trace
+        .ranks
+        .iter()
+        .map(|r| r.phases().filter_map(PhaseKind::from_name).collect())
+        .collect()
+}
 
 /// Assert a trace is a sentence of the archetype's grammar, with a
 /// diagnostic naming the archetype and showing the offending trace.
 fn assert_conforms(info: &ArchetypeInfo, kinds: &[PhaseKind], context: &str) {
     assert!(
-        info.grammar.matches(kinds),
+        PatternExpr::from_static(&info.grammar).matches(kinds),
         "{context}: trace {kinds:?} rejected by the {} grammar",
         info.name
     );
@@ -127,11 +147,13 @@ proptest! {
                     .collect()
             })
             .collect();
-        for mode in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
-            let t = PhaseTrace::new();
-            run_shared(&OneDeepMergesort::<i64>::new(), blocks.clone(), mode, Some(&t));
-            assert_conforms(&ONE_DEEP_DC, &t.kinds(), "run_shared mergesort");
-            prop_assert!(t.kinds().iter().all(|k| ONE_DEEP_DC.phases.contains(k)));
+        // One block per rank; every rank runs split, solve and merge.
+        let ranks = phases(nblocks, MachineModel::ibm_sp(), |ctx| {
+            dc_spmd(&OneDeepMergesort::<i64>::new(), ctx, blocks[ctx.rank()].clone())
+        });
+        for (rank, kinds) in ranks.iter().enumerate() {
+            assert_conforms(&ONE_DEEP_DC, kinds, &format!("dc run_spmd rank {rank}"));
+            prop_assert!(kinds.iter().all(|k| ONE_DEEP_DC.phases.contains(k)));
         }
     }
 
@@ -143,16 +165,15 @@ proptest! {
         depth in 0usize..4,
     ) {
         let input: Vec<i64> = (0..n as i64).map(|i| i * 48271 % 9973).collect();
-        let t = PhaseTrace::new();
+        let alg = Logged::new(RecursiveMergesort::<i64>::new());
         run_shared_recursive(
-            &RecursiveMergesort::<i64>::new(),
+            &alg,
             input,
             &CutoffPolicy::new(branching, cutoff, depth),
             ExecutionMode::Sequential,
-            Some(&t),
         );
-        assert_conforms(&RECURSIVE_DC, &t.kinds(), "run_shared_recursive mergesort");
-        prop_assert!(t.kinds().iter().all(|k| RECURSIVE_DC.phases.contains(k)));
+        assert_conforms(&RECURSIVE_DC, &alg.kinds(), "run_shared_recursive mergesort");
+        prop_assert!(alg.kinds().iter().all(|k| RECURSIVE_DC.phases.contains(k)));
     }
 
     #[test]
@@ -163,15 +184,13 @@ proptest! {
     ) {
         let input: Vec<i64> = (0..n as i64).map(|i| (n as i64 - i) * 31 % 257).collect();
         let policy = CutoffPolicy::new(2, 32, depth);
-        let out = run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
+        let ranks = phases(p, MachineModel::ibm_sp(), |ctx| {
             let local = (ctx.rank() == 0).then(|| input.clone());
-            let t = PhaseTrace::new();
-            run_spmd_recursive(&RecursiveMergesort::<i64>::new(), ctx, local, &policy, Some(&t));
-            t.kinds()
+            run_spmd_recursive(&RecursiveMergesort::<i64>::new(), ctx, local, &policy, None);
         });
         // Rank 0 walks its root path of the recursion tree — the k=1
         // degenerate tree the grammar also accepts.
-        assert_conforms(&RECURSIVE_DC, &out.results[0], "run_spmd_recursive rank 0");
+        assert_conforms(&RECURSIVE_DC, &ranks[0], "run_spmd_recursive rank 0");
     }
 
     #[test]
@@ -182,11 +201,8 @@ proptest! {
     ) {
         let spec = sine_problem(n, 1e-7, iter_cap);
         let pg = grid_for(p);
-        let trace = PhaseTrace::new();
-        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-            poisson_spmd_traced(ctx, &spec, pg, Some(&trace)).iters
-        });
-        assert_conforms(&MESH_SPECTRAL, &trace.kinds(), "poisson_spmd_traced");
+        let ranks = phases(p, MachineModel::ibm_sp(), |ctx| poisson_spmd(ctx, &spec, pg).iters);
+        assert_conforms(&MESH_SPECTRAL, &ranks[0], "poisson_spmd rank 0");
     }
 
     #[test]
@@ -196,14 +212,13 @@ proptest! {
         spawn in 0u64..6,
         steal in any::<bool>(),
     ) {
-        let trace = PhaseTrace::new();
         let farm = SpawnFarm { roots, spawn };
-        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+        let ranks = phases(p, MachineModel::ibm_sp(), |ctx| {
             let config = FarmConfig { steal, ..FarmConfig::default() };
-            run_farm_traced(&farm, ctx, config, Some(&trace)).0
+            run_farm(&farm, ctx, config).0
         });
-        assert_conforms(&TASK_FARM, &trace.kinds(), "run_farm_traced");
-        prop_assert!(trace.kinds().iter().all(|k| TASK_FARM.phases.contains(k)));
+        assert_conforms(&TASK_FARM, &ranks[0], "run_farm rank 0");
+        prop_assert!(ranks[0].iter().all(|k| TASK_FARM.phases.contains(k)));
     }
 
     #[test]
@@ -214,58 +229,44 @@ proptest! {
         mesh_iters in 5usize..40,
     ) {
         // The flagship composite — (farm ∥ mesh) → recursive DC → pipeline
-        // — must emit a composite trace accepted by the grammar *derived*
-        // from its members' archetype grammars, at every process count.
+        // — must leave on world rank 0 a stream accepted by the grammar
+        // *derived* from its members' archetype grammars, at every process
+        // count.
         let cfg = ForecastConfig { sweep_points, mesh_n, mesh_iters };
         let plan = forecast_plan(cfg);
-        let trace = PhaseTrace::new();
-        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-            run_plan_traced(ctx, &plan, forecast_input(), Some(&trace)).1
+        let ranks = phases(p, MachineModel::ibm_sp(), |ctx| {
+            run_plan(ctx, &plan, forecast_input()).1
         });
-        let kinds = trace.kinds();
         prop_assert!(
-            plan.grammar().matches(&kinds),
-            "p={p}: composite trace {kinds:?} rejected by the derived grammar"
+            plan.grammar().matches(&ranks[0]),
+            "p={p}: rank 0 stream {:?} rejected by the derived grammar",
+            ranks[0]
         );
     }
 
     #[test]
-    fn replicated_plan_traces_conform_sequenced_and_interleaved(
+    fn replicated_plan_traces_conform(
         p in 1usize..9,
         copies in 1usize..4,
         points in 4u32..16,
     ) {
-        // A Replicate of farm sweeps: the canonical branch-ordered trace
-        // must satisfy both the sequence-composed grammar and its
-        // shuffle-closed (interleaved) variant.
+        // A Replicate of farm sweeps: rank 0 runs copy 0 between the
+        // fan-out and gather phases, or every copy when they serialize.
         let plan = Plan::replicate(
             copies,
             Plan::atom(SweepJob {
                 farm: GridSweepFarm { lo: 0.0, hi: 1.0, points },
             }),
         );
-        let input = parallel_archetypes::compose::Value::Tuple(vec![
-            parallel_archetypes::compose::Value::Unit;
-            copies
-        ]);
-        let trace = PhaseTrace::new();
-        run_spmd(p, MachineModel::cray_t3d(), |ctx| {
-            run_plan_traced(ctx, &plan, input.clone(), Some(&trace)).0
+        let input = Value::Tuple(vec![Value::Unit; copies]);
+        let ranks = phases(p, MachineModel::cray_t3d(), |ctx| {
+            run_plan(ctx, &plan, input.clone()).0
         });
-        let kinds = trace.kinds();
         prop_assert!(
-            plan.grammar().matches(&kinds),
-            "p={p} copies={copies}: {kinds:?} rejected by the derived grammar"
+            plan.grammar().matches(&ranks[0]),
+            "p={p} copies={copies}: {:?} rejected by the derived grammar",
+            ranks[0]
         );
-        // The interleaved matcher searches order-preserving shuffles
-        // (worst-case exponential, viability-pruned to near-linear on
-        // canonical traces) — keep it off the pathologically long ones.
-        if kinds.len() <= 60 {
-            prop_assert!(
-                plan.grammar_interleaved().matches(&kinds),
-                "p={p} copies={copies}: {kinds:?} rejected by the interleaved grammar"
-            );
-        }
     }
 
     #[test]
@@ -275,23 +276,22 @@ proptest! {
         n_stages in 0usize..5,
         window in 1usize..6,
     ) {
-        let trace = PhaseTrace::new();
         let pipe = NStage {
             items,
             stages: (0..n_stages as u64).map(AddStage).collect(),
         };
-        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+        let ranks = phases(p, MachineModel::ibm_sp(), |ctx| {
             let config = PipelineConfig { window, ..PipelineConfig::default() };
-            run_pipeline_traced(&pipe, ctx, config, Some(&trace)).0
+            run_pipeline(&pipe, ctx, config).0
         });
-        assert_conforms(&PIPELINE, &trace.kinds(), "run_pipeline_traced");
-        prop_assert!(trace.kinds().iter().all(|k| PIPELINE.phases.contains(k)));
+        assert_conforms(&PIPELINE, &ranks[0], "run_pipeline rank 0");
+        prop_assert!(ranks[0].iter().all(|k| PIPELINE.phases.contains(k)));
     }
 
     // ------------------------------------------------------------------
-    // Shared-memory transport with free-running ranks: PhaseTraces are
-    // logical structure, so the grammars accept them no matter how the
-    // threads interleaved the deliveries.
+    // Free-running ranks: phase streams are logical structure, so the
+    // grammars accept them no matter how the threads interleaved the
+    // deliveries.
     // ------------------------------------------------------------------
 
     #[test]
@@ -302,12 +302,11 @@ proptest! {
         steal in any::<bool>(),
     ) {
         let farm = SpawnFarm { roots, spawn };
-        let trace = PhaseTrace::new();
-        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+        let ranks = phases(p, MachineModel::ibm_sp(), |ctx| {
             let config = FarmConfig { steal, ..FarmConfig::default() };
-            run_farm_traced(&farm, ctx, config, Some(&trace)).0
+            run_farm(&farm, ctx, config).0
         });
-        assert_conforms(&TASK_FARM, &trace.kinds(), "run_farm_traced (spawning farm)");
+        assert_conforms(&TASK_FARM, &ranks[0], "run_farm rank 0 (spawning farm)");
     }
 
     #[test]
@@ -320,11 +319,10 @@ proptest! {
             items,
             stages: (0..n_stages as u64).map(AddStage).collect(),
         };
-        let trace = PhaseTrace::new();
-        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-            run_pipeline_traced(&pipe, ctx, PipelineConfig::default(), Some(&trace)).0
+        let ranks = phases(p, MachineModel::ibm_sp(), |ctx| {
+            run_pipeline(&pipe, ctx, PipelineConfig::default()).0
         });
-        assert_conforms(&PIPELINE, &trace.kinds(), "run_pipeline_traced (concurrent ranks)");
+        assert_conforms(&PIPELINE, &ranks[0], "run_pipeline rank 0 (concurrent ranks)");
     }
 
     #[test]
@@ -336,21 +334,16 @@ proptest! {
     ) {
         let input: Vec<i64> = (0..n as i64).map(|i| (n as i64 - i) * 31 % 257).collect();
         let policy = CutoffPolicy::new(2, 32, depth);
-        let out = run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
+        let ranks = phases(p, MachineModel::ibm_sp(), |ctx| {
             let local = (ctx.rank() == 0).then(|| input.clone());
-            let t = PhaseTrace::new();
-            run_spmd_recursive(&RecursiveMergesort::<i64>::new(), ctx, local, &policy, Some(&t));
-            t.kinds()
+            run_spmd_recursive(&RecursiveMergesort::<i64>::new(), ctx, local, &policy, None);
         });
-        assert_conforms(&RECURSIVE_DC, &out.results[0], "run_spmd_recursive rank 0 (concurrent ranks)");
+        assert_conforms(&RECURSIVE_DC, &ranks[0], "run_spmd_recursive rank 0 (concurrent ranks)");
 
         let spec = sine_problem(12, 1e-7, iter_cap);
         let pg = grid_for(p);
-        let trace = PhaseTrace::new();
-        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-            poisson_spmd_traced(ctx, &spec, pg, Some(&trace)).iters
-        });
-        assert_conforms(&MESH_SPECTRAL, &trace.kinds(), "poisson_spmd_traced (concurrent ranks)");
+        let ranks = phases(p, MachineModel::ibm_sp(), |ctx| poisson_spmd(ctx, &spec, pg).iters);
+        assert_conforms(&MESH_SPECTRAL, &ranks[0], "poisson_spmd rank 0 (concurrent ranks)");
     }
 
     #[test]
@@ -361,14 +354,13 @@ proptest! {
     ) {
         let cfg = ForecastConfig { sweep_points, mesh_n, mesh_iters: 20 };
         let plan = forecast_plan(cfg);
-        let trace = PhaseTrace::new();
-        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-            run_plan_traced(ctx, &plan, forecast_input(), Some(&trace)).1
+        let ranks = phases(p, MachineModel::ibm_sp(), |ctx| {
+            run_plan(ctx, &plan, forecast_input()).1
         });
-        let kinds = trace.kinds();
         prop_assert!(
-            plan.grammar().matches(&kinds),
-            "p={p}: composite trace {kinds:?} rejected by the derived grammar"
+            plan.grammar().matches(&ranks[0]),
+            "p={p}: rank 0 stream {:?} rejected by the derived grammar",
+            ranks[0]
         );
     }
 }
@@ -378,9 +370,12 @@ proptest! {
 #[test]
 fn grammars_reject_malformed_traces() {
     use PhaseKind::*;
-    assert!(!ONE_DEEP_DC.grammar.matches(&[Solve, Split, Merge]));
-    assert!(!RECURSIVE_DC.grammar.matches(&[Recurse, Solve])); // missing Merge
-    assert!(!MESH_SPECTRAL.grammar.matches(&[Io, GridOp])); // missing final Io
-    assert!(!TASK_FARM.grammar.matches(&[Seed, Steal, Terminate])); // Steal without Work
-    assert!(!PIPELINE.grammar.matches(&[Ingest, Transform, Emit])); // missing Drain
+    let accepts = |info: &ArchetypeInfo, kinds: &[PhaseKind]| {
+        PatternExpr::from_static(&info.grammar).matches(kinds)
+    };
+    assert!(!accepts(&ONE_DEEP_DC, &[Solve, Split, Merge]));
+    assert!(!accepts(&RECURSIVE_DC, &[Recurse, Solve])); // missing Merge
+    assert!(!accepts(&MESH_SPECTRAL, &[Io, GridOp])); // missing final Io
+    assert!(!accepts(&TASK_FARM, &[Seed, Steal, Terminate])); // Steal without Work
+    assert!(!accepts(&PIPELINE, &[Ingest, Transform, Emit])); // missing Drain
 }

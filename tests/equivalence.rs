@@ -20,7 +20,7 @@ use parallel_archetypes::farm::{run_farm, Farm, FarmConfig, WorkScope};
 use parallel_archetypes::mesh::apps::airshed::{airshed_shared, airshed_spmd, AirshedSpec};
 use parallel_archetypes::mesh::apps::cfd::{cfd_shared, cfd_spmd, shock_sine_init, CfdSpec};
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, sine_problem};
-use parallel_archetypes::mp::{run_spmd, MachineModel, ProcessGrid2};
+use parallel_archetypes::mp::{run_spmd, run_spmd_with, MachineModel, ProcessGrid2, RunConfig};
 use parallel_archetypes::pipeline::{run_pipeline, Pipeline, PipelineConfig, Stage as PipeStage};
 use proptest::prelude::*;
 
@@ -42,8 +42,8 @@ fn mergesort_three_way_equivalence() {
     let alg = OneDeepMergesort::<i64>::new();
     for p in [1usize, 2, 5, 8] {
         let input = int_blocks(p, 400, 7);
-        let seq = run_shared(&alg, input.clone(), ExecutionMode::Sequential, None);
-        let par = run_shared(&alg, input.clone(), ExecutionMode::Parallel, None);
+        let seq = run_shared(&alg, input.clone(), ExecutionMode::Sequential);
+        let par = run_shared(&alg, input.clone(), ExecutionMode::Parallel);
         let spmd = run_spmd(p, MachineModel::intel_delta(), |ctx| {
             let alg = OneDeepMergesort::<i64>::new();
             dc_spmd(&alg, ctx, input[ctx.rank()].clone())
@@ -63,8 +63,8 @@ fn quicksort_three_way_equivalence() {
     let alg = OneDeepQuicksort::<i64>::new();
     for p in [1usize, 3, 4, 7] {
         let input = int_blocks(p, 300, 99);
-        let seq = run_shared(&alg, input.clone(), ExecutionMode::Sequential, None);
-        let par = run_shared(&alg, input.clone(), ExecutionMode::Parallel, None);
+        let seq = run_shared(&alg, input.clone(), ExecutionMode::Sequential);
+        let par = run_shared(&alg, input.clone(), ExecutionMode::Parallel);
         let spmd = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
             let alg = OneDeepQuicksort::<i64>::new();
             dc_spmd(&alg, ctx, input[ctx.rank()].clone())
@@ -89,18 +89,8 @@ fn skyline_three_way_equivalence() {
         })
         .collect();
     let all: Vec<Building> = inputs.iter().flatten().copied().collect();
-    let seq = run_shared(
-        &OneDeepSkyline,
-        inputs.clone(),
-        ExecutionMode::Sequential,
-        None,
-    );
-    let par = run_shared(
-        &OneDeepSkyline,
-        inputs.clone(),
-        ExecutionMode::Parallel,
-        None,
-    );
+    let seq = run_shared(&OneDeepSkyline, inputs.clone(), ExecutionMode::Sequential);
+    let par = run_shared(&OneDeepSkyline, inputs.clone(), ExecutionMode::Parallel);
     let spmd = run_spmd(5, MachineModel::ibm_sp(), |ctx| {
         dc_spmd(&OneDeepSkyline, ctx, inputs[ctx.rank()].clone())
     })
@@ -124,7 +114,6 @@ fn hull_and_closest_pair_equivalence() {
         &OneDeepHull::new(),
         inputs.clone(),
         ExecutionMode::Sequential,
-        None,
     );
     let hull_spmd = run_spmd(4, MachineModel::ibm_sp(), |ctx| {
         dc_spmd(&OneDeepHull::new(), ctx, inputs[ctx.rank()].clone())
@@ -136,7 +125,6 @@ fn hull_and_closest_pair_equivalence() {
         &OneDeepClosest::new(),
         inputs.clone(),
         ExecutionMode::Sequential,
-        None,
     );
     let close_spmd = run_spmd(4, MachineModel::ibm_sp(), |ctx| {
         dc_spmd(&OneDeepClosest::new(), ctx, inputs[ctx.rank()].clone())
@@ -226,28 +214,30 @@ fn airshed_equivalence() {
 fn recursive_dc_runs_are_bit_identical() {
     // Determinism of the recursive skeleton on nested groups: repeated
     // runs of the same program produce bit-identical results, virtual
-    // clocks, statistics, and per-rank phase traces.
-    use parallel_archetypes::core::PhaseTrace;
-
+    // clocks, statistics, and per-rank event streams (phases included).
     let input = int_blocks(1, 3000, 17).pop().unwrap();
     let policy = CutoffPolicy::new(2, 64, 10);
     let a = assert_bit_identical_runs("recursive dc", || {
         let inp = input.clone();
-        run_spmd(6, MachineModel::intel_delta(), move |ctx| {
-            let local = (ctx.rank() == 0).then(|| inp.clone());
-            let trace = PhaseTrace::new();
-            let result = run_spmd_recursive(
-                &RecursiveMergesort::<i64>::new(),
-                ctx,
-                local,
-                &policy,
-                Some(&trace),
-            );
-            // Results, per-rank phase traces, and traffic statistics all
-            // ride inside the snapshot comparison.
-            let stats = ctx.stats();
-            (result, trace.kinds(), stats.msgs_sent, stats.bytes_sent)
-        })
+        run_spmd_with(
+            6,
+            MachineModel::intel_delta(),
+            RunConfig::traced(),
+            move |ctx| {
+                let local = (ctx.rank() == 0).then(|| inp.clone());
+                let result = run_spmd_recursive(
+                    &RecursiveMergesort::<i64>::new(),
+                    ctx,
+                    local,
+                    &policy,
+                    None,
+                );
+                // Results and traffic statistics ride inside the snapshot
+                // comparison; the traced streams are compared beside them.
+                let stats = ctx.stats();
+                (result, stats.msgs_sent, stats.bytes_sent)
+            },
+        )
     });
     // And the answer is right.
     let reference = sequential_mergesort(input.clone());
@@ -286,21 +276,23 @@ fn recursive_dc_result_is_machine_model_invariant() {
 fn pipeline_runs_are_bit_identical() {
     // Determinism of the pipeline skeleton: repeated runs of the same
     // stream produce bit-identical summaries, statistics, virtual
-    // clocks, and per-rank phase traces — reusing the shared snapshot
+    // clocks, and per-rank event streams — reusing the shared snapshot
     // helper rather than a fourth hand-rolled copy.
-    use parallel_archetypes::core::PhaseTrace;
     use parallel_archetypes::pipeline::apps::ImageChain;
-    use parallel_archetypes::pipeline::{run_pipeline_traced, run_sequential};
+    use parallel_archetypes::pipeline::run_sequential;
 
     let chain = ImageChain::new(96, 64, 16, 6);
     let a = assert_bit_identical_runs("pipeline image chain", || {
         let c = chain.clone();
-        run_spmd(7, MachineModel::intel_delta(), move |ctx| {
-            let trace = PhaseTrace::new();
-            let (summary, stats) =
-                run_pipeline_traced(&c, ctx, PipelineConfig::default(), Some(&trace));
-            (summary, stats, trace.kinds(), ctx.stats().msgs_sent)
-        })
+        run_spmd_with(
+            7,
+            MachineModel::intel_delta(),
+            RunConfig::traced(),
+            move |ctx| {
+                let (summary, stats) = run_pipeline(&c, ctx, PipelineConfig::default());
+                (summary, stats, ctx.stats().msgs_sent)
+            },
+        )
     });
     // And the summary matches the host-side sequential oracle.
     let (reference, _) = run_sequential(&chain);
@@ -418,7 +410,6 @@ fn composed_plan_results_and_stats_are_process_count_and_schedule_invariant() {
                         par: mode,
                         ..ComposeConfig::default()
                     },
-                    None,
                 )
             });
             for (r, got) in out.results.iter().enumerate() {

@@ -5,10 +5,10 @@
 
 use parallel_archetypes::bnb::{knapsack_dp, solve_farm, solve_sequential, Knapsack};
 use parallel_archetypes::core::archetype::TASK_FARM;
-use parallel_archetypes::core::{PhaseKind, PhaseTrace};
+use parallel_archetypes::core::PhaseKind;
 use parallel_archetypes::farm::apps::{MandelbrotFarm, SweepFarm};
-use parallel_archetypes::farm::{run_farm, run_farm_traced, FarmConfig};
-use parallel_archetypes::mp::{run_spmd, MachineModel};
+use parallel_archetypes::farm::{run_farm, FarmConfig};
+use parallel_archetypes::mp::{run_spmd, run_spmd_with, MachineModel, RunConfig};
 
 mod common;
 use common::assert_bit_identical_runs;
@@ -35,12 +35,14 @@ fn farm_archetype_metadata_is_exposed() {
 
 #[test]
 fn farm_run_follows_the_archetype_phase_pattern() {
-    let trace = PhaseTrace::new();
     let farm = MandelbrotFarm::classic(32, 32, 8, 100);
-    run_spmd(4, MachineModel::ibm_sp(), |ctx| {
-        run_farm_traced(&farm, ctx, FarmConfig::default(), Some(&trace)).0
+    let out = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
+        run_farm(&farm, ctx, FarmConfig::default()).0
     });
-    let kinds = trace.kinds();
+    let kinds: Vec<PhaseKind> = out.trace.expect("traced").ranks[0]
+        .phases()
+        .filter_map(PhaseKind::from_name)
+        .collect();
     assert_eq!(kinds.first(), Some(&PhaseKind::Seed));
     assert_eq!(kinds.last(), Some(&PhaseKind::Terminate));
     assert!(kinds.contains(&PhaseKind::Work));

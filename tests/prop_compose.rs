@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use parallel_archetypes::compose::{allocate, run_plan, ArchetypeJob, Plan, Value};
 use parallel_archetypes::core::archetype::ONE_DEEP_DC;
-use parallel_archetypes::core::{ArchetypeInfo, PhaseTrace};
+use parallel_archetypes::core::ArchetypeInfo;
 use parallel_archetypes::mp::{run_spmd, Ctx, MachineModel};
 
 // ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ impl ArchetypeJob for Probe {
         self.cost
     }
 
-    fn run(&self, ctx: &mut Ctx, _input: Value, _trace: Option<&PhaseTrace>) {
+    fn run(&self, ctx: &mut Ctx, _input: Value) {
         if ctx.rank() == 0 {
             self.seen
                 .lock()

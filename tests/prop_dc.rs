@@ -57,9 +57,7 @@ proptest! {
             &RecursiveMergesort::<i64>::new(),
             input.clone(),
             &policy,
-            ExecutionMode::Sequential,
-            None,
-        );
+            ExecutionMode::Sequential);
         prop_assert_eq!(&shared, &expected);
 
         let one_deep_in = blocks_of(&input, p);
@@ -92,9 +90,7 @@ proptest! {
             &RecursiveQuicksort::<i64>::new(),
             input.clone(),
             &policy,
-            ExecutionMode::Sequential,
-            None,
-        );
+            ExecutionMode::Sequential);
         prop_assert_eq!(&shared, &expected);
 
         let one_deep_in = blocks_of(&input, p);
@@ -130,9 +126,7 @@ proptest! {
             &RecursiveClosest::new(),
             pts.clone(),
             &policy,
-            ExecutionMode::Sequential,
-            None,
-        );
+            ExecutionMode::Sequential);
         prop_assert!(
             close(shared.best, expected),
             "shared {} vs {}", shared.best, expected

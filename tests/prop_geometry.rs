@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn skyline_matches_brute_force_heights(blocks in arb_building_blocks()) {
         let all: Vec<Building> = blocks.iter().flatten().copied().collect();
-        let out = run_shared(&OneDeepSkyline, blocks, ExecutionMode::Sequential, None);
+        let out = run_shared(&OneDeepSkyline, blocks, ExecutionMode::Sequential);
         let sky = concat_skyline(&out);
 
         // Canonical form: strictly increasing x, no consecutive equal
@@ -103,7 +103,7 @@ proptest! {
         let per = pts.len().div_ceil(nblocks);
         let mut inputs: Vec<Vec<Point>> = pts.chunks(per).map(<[Point]>::to_vec).collect();
         inputs.resize(nblocks, Vec::new());
-        let out = run_shared(&OneDeepHull::new(), inputs, ExecutionMode::Sequential, None);
+        let out = run_shared(&OneDeepHull::new(), inputs, ExecutionMode::Sequential);
         for block in &out {
             prop_assert_eq!(block, &expected);
         }
@@ -115,7 +115,7 @@ proptest! {
         let per = pts.len().div_ceil(nblocks);
         let mut inputs: Vec<Vec<Point>> = pts.chunks(per).map(<[Point]>::to_vec).collect();
         inputs.resize(nblocks, Vec::new());
-        let out = run_shared(&OneDeepClosest::new(), inputs, ExecutionMode::Sequential, None);
+        let out = run_shared(&OneDeepClosest::new(), inputs, ExecutionMode::Sequential);
         let got = global_closest(&out);
         prop_assert!((got - expected).abs() < 1e-9, "{} vs {}", got, expected);
     }

@@ -29,7 +29,7 @@ proptest! {
     fn one_deep_mergesort_sorts_any_input(blocks in arb_blocks()) {
         let alg = OneDeepMergesort::<i64>::new();
         let expected = sorted_copy(&blocks);
-        let out = run_shared(&alg, blocks, ExecutionMode::Sequential, None);
+        let out = run_shared(&alg, blocks, ExecutionMode::Sequential);
         // Concatenation is the sorted permutation of the input.
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         prop_assert_eq!(flat, expected);
@@ -45,7 +45,7 @@ proptest! {
     fn one_deep_quicksort_sorts_any_input(blocks in arb_blocks()) {
         let alg = OneDeepQuicksort::<i64>::new();
         let expected = sorted_copy(&blocks);
-        let out = run_shared(&alg, blocks, ExecutionMode::Sequential, None);
+        let out = run_shared(&alg, blocks, ExecutionMode::Sequential);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         prop_assert_eq!(flat, expected);
     }
@@ -53,8 +53,8 @@ proptest! {
     #[test]
     fn modes_agree_for_any_input(blocks in arb_blocks()) {
         let alg = OneDeepMergesort::<i64>::new();
-        let seq = run_shared(&alg, blocks.clone(), ExecutionMode::Sequential, None);
-        let par = run_shared(&alg, blocks, ExecutionMode::Parallel, None);
+        let seq = run_shared(&alg, blocks.clone(), ExecutionMode::Sequential);
+        let par = run_shared(&alg, blocks, ExecutionMode::Parallel);
         prop_assert_eq!(seq, par);
     }
 
@@ -72,7 +72,7 @@ proptest! {
     ) {
         let alg = OneDeepMergesort::<i64>::with_oversample(oversample);
         let expected = sorted_copy(&blocks);
-        let out = run_shared(&alg, blocks, ExecutionMode::Sequential, None);
+        let out = run_shared(&alg, blocks, ExecutionMode::Sequential);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         prop_assert_eq!(flat, expected);
     }
