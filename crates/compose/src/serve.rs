@@ -637,23 +637,21 @@ impl PlanService {
         }
     }
 
-    /// Serve the queued batch under a deterministic [`FaultPlan`], with
-    /// `run` passed through to [`run_spmd_ft`]. Injected atom exhaustion
-    /// surfaces *inside* the report as per-submission [`PlanError`]s; an
-    /// injected rank crash fails the whole batch with
+    /// Serve the queued batch under a deterministic [`FaultPlan`]. Injected
+    /// atom exhaustion surfaces *inside* the report as per-submission
+    /// [`PlanError`]s; an injected rank crash fails the whole batch with
     /// [`SpmdError::Ranks`] (the drained submissions are dropped).
     pub fn serve_ft(
         &mut self,
         model: MachineModel,
         fault: FaultPlan,
-        run: RunConfig,
     ) -> Result<ServeOutcome, SpmdError> {
         let rejected = std::mem::take(&mut self.rejected);
         let waves = self.pack();
         self.record_schedule_metrics(&waves);
         let subs = Arc::new(std::mem::take(&mut self.queue));
         let body = serve_body(Arc::clone(&subs), Arc::new(waves), self.config);
-        let ft = run_spmd_ft(self.nprocs, model, fault, run, body);
+        let ft = run_spmd_ft(self.nprocs, model, fault, RunConfig::default(), body);
         let failures: Vec<_> = ft
             .results
             .iter()
@@ -1022,7 +1020,7 @@ mod tests {
         // it past the default 3-retry budget.
         let fault = FaultPlan::new(11).fail_atom(2, 9);
         let out = svc
-            .serve_ft(MachineModel::ibm_sp(), fault, RunConfig::default())
+            .serve_ft(MachineModel::ibm_sp(), fault)
             .expect("no rank crashed");
         assert_eq!(out.report.outcomes.len(), 1);
         let err = out.report.outcomes[0].as_ref().expect_err("doomed atom");
@@ -1045,11 +1043,7 @@ mod tests {
         };
         let plain = batch().serve_with(MachineModel::ibm_sp(), RunConfig::default());
         let ft = batch()
-            .serve_ft(
-                MachineModel::ibm_sp(),
-                FaultPlan::new(5),
-                RunConfig::default(),
-            )
+            .serve_ft(MachineModel::ibm_sp(), FaultPlan::new(5))
             .expect("an inert plan crashes nothing");
         assert_eq!(ft.report, plain.report);
         assert_eq!(ft.elapsed_virtual, plain.elapsed_virtual);
@@ -1065,7 +1059,7 @@ mod tests {
         svc.submit(1, fold_plan(1.0), Value::Unit).unwrap();
         let fault = FaultPlan::new(11).crash(0, CrashSite::Send(0));
         let err = svc
-            .serve_ft(MachineModel::ibm_sp(), fault, RunConfig::default())
+            .serve_ft(MachineModel::ibm_sp(), fault)
             .expect_err("rank 0 dies");
         assert!(!err.failures().is_empty());
         assert!(err.failures().iter().any(|f| f.injected));

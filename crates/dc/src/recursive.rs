@@ -366,78 +366,6 @@ mod tests {
         }
     }
 
-    /// Logs each `divide`/`solve`/`combine` call of the wrapped
-    /// algorithm as the `Recurse`/`Solve`/`Merge` phase it performs.
-    struct Logged<A> {
-        alg: A,
-        log: std::sync::Mutex<Vec<PhaseKind>>,
-    }
-
-    impl<A> Logged<A> {
-        fn new(alg: A) -> Self {
-            Logged {
-                alg,
-                log: std::sync::Mutex::new(Vec::new()),
-            }
-        }
-        fn kinds(&self) -> Vec<PhaseKind> {
-            self.log.lock().unwrap().clone()
-        }
-        fn note(&self, kind: PhaseKind) {
-            self.log.lock().unwrap().push(kind);
-        }
-    }
-
-    impl<A: Recursive> Recursive for Logged<A> {
-        type Problem = A::Problem;
-        type Solution = A::Solution;
-        fn size(&self, p: &A::Problem) -> usize {
-            self.alg.size(p)
-        }
-        fn divide(&self, p: A::Problem, k: usize) -> Vec<A::Problem> {
-            self.note(PhaseKind::Recurse);
-            self.alg.divide(p, k)
-        }
-        fn solve(&self, p: A::Problem) -> A::Solution {
-            self.note(PhaseKind::Solve);
-            self.alg.solve(p)
-        }
-        fn combine(&self, parts: Vec<A::Solution>) -> A::Solution {
-            self.note(PhaseKind::Merge);
-            self.alg.combine(parts)
-        }
-    }
-
-    #[test]
-    fn trace_records_preorder_recursion_shape() {
-        use PhaseKind::{Merge, Recurse, Solve};
-        let alg = Logged::new(TreeSum);
-        run_shared(
-            &alg,
-            numbers(64),
-            &CutoffPolicy::exact_depth(2, 2),
-            ExecutionMode::Sequential,
-        );
-        // Preorder of the full binary tree of depth 2.
-        assert_eq!(
-            alg.kinds(),
-            [Recurse, Recurse, Solve, Solve, Merge, Recurse, Solve, Solve, Merge, Merge]
-        );
-    }
-
-    #[test]
-    fn size_floor_stops_recursion() {
-        let alg = Logged::new(TreeSum);
-        let policy = CutoffPolicy::new(2, 1000, 10);
-        let got = run_shared(&alg, numbers(100), &policy, ExecutionMode::Sequential);
-        assert_eq!(got, numbers(100).iter().sum::<u64>());
-        assert_eq!(
-            alg.kinds(),
-            [PhaseKind::Solve],
-            "below the floor: no divide"
-        );
-    }
-
     #[test]
     fn single_item_problems_never_divide() {
         let policy = CutoffPolicy::exact_depth(50, 2);

@@ -90,6 +90,48 @@ fn recursive_dc_trace_is_preorder_over_recursive_dc_phases() {
 }
 
 #[test]
+fn trace_records_preorder_recursion_shape() {
+    use parallel_archetypes::dc::{run_shared_recursive, CutoffPolicy, RecursiveMergesort};
+    use PhaseKind::{Merge, Recurse, Solve};
+
+    let alg = Logged::new(RecursiveMergesort::<i64>::new());
+    run_shared_recursive(
+        &alg,
+        (0..90i64).rev().collect(),
+        &CutoffPolicy::exact_depth(2, 3),
+        ExecutionMode::Sequential,
+    );
+    // Preorder of the full ternary tree of depth 2.
+    let subtree = [Recurse, Solve, Solve, Solve, Merge];
+    let mut expected = vec![Recurse];
+    for _ in 0..3 {
+        expected.extend(subtree);
+    }
+    expected.push(Merge);
+    assert_eq!(alg.kinds(), expected);
+}
+
+#[test]
+fn size_floor_stops_recursion() {
+    use parallel_archetypes::dc::{run_shared_recursive, CutoffPolicy, RecursiveMergesort};
+
+    let alg = Logged::new(RecursiveMergesort::<i64>::new());
+    let policy = CutoffPolicy::new(2, 1000, 10);
+    let got = run_shared_recursive(
+        &alg,
+        (0..100i64).rev().collect(),
+        &policy,
+        ExecutionMode::Sequential,
+    );
+    assert_eq!(got, (0..100i64).collect::<Vec<_>>());
+    assert_eq!(
+        alg.kinds(),
+        [PhaseKind::Solve],
+        "below the floor: no divide"
+    );
+}
+
+#[test]
 fn global_var_copy_consistency_survives_mixed_updates() {
     let out = run_spmd(6, MachineModel::ibm_sp(), |ctx| {
         let mut v = GlobalVar::new(0i64);

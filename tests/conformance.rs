@@ -267,6 +267,17 @@ proptest! {
             "p={p} copies={copies}: {:?} rejected by the derived grammar",
             ranks[0]
         );
+        // The grammar makes copies 1.. optional (they run off rank 0 when
+        // allocated), so pin the count: a serialized Replicate leaves one
+        // farm sentence per copy on rank 0, an allocated one just copy 0's.
+        let sentences = if p < copies { copies } else { 1 };
+        for kind in [PhaseKind::Seed, PhaseKind::Terminate] {
+            let n = ranks[0].iter().filter(|&&k| k == kind).count();
+            prop_assert_eq!(
+                n, sentences,
+                "p={} copies={}: {} {:?} phases on rank 0", p, copies, n, kind
+            );
+        }
     }
 
     #[test]
